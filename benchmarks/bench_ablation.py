@@ -12,18 +12,18 @@ achieved under the same budget, quantifying what the ingredient buys:
 Run: ``pytest benchmarks/bench_ablation.py --benchmark-only``
 """
 
+from repro.api import SolveRequest
 from repro.fusionfission.partitioner import FusionFissionPartitioner
-from repro.partition.metrics import evaluate_partition
 
 
 def _run(benchmark, graph, k, budget, **options):
     ff = FusionFissionPartitioner(
         k=k, time_budget=budget, max_steps=10**9, **options
     )
-    partition = benchmark.pedantic(
-        lambda: ff.partition(graph, seed=2006), iterations=1, rounds=1
+    request = SolveRequest(graph=graph, k=k, seed=2006)
+    report = benchmark.pedantic(
+        lambda: ff.start(request).run().metrics, iterations=1, rounds=1
     )
-    report = evaluate_partition(partition)
     benchmark.extra_info["mcut"] = round(report.mcut, 3)
     benchmark.extra_info["cut"] = round(report.cut, 1)
     benchmark.extra_info["options"] = {

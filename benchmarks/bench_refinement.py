@@ -7,16 +7,16 @@ spectral pipelines; the extra_info records the before/after edge cuts.
 Run: ``pytest benchmarks/bench_refinement.py --benchmark-only``
 """
 
+from repro.api import get_solver
 from repro.bench.harness import run_method
-from repro.bench.registry import make_partitioner
 
 
 def _gain(benchmark, graph, k, method, **options):
-    raw = run_method("raw", make_partitioner(method, k, **options), graph,
+    raw = run_method("raw", get_solver(method, k, **options), graph,
                      seed=2006)
     refined = benchmark.pedantic(
         lambda: run_method(
-            "kl", make_partitioner(method, k, refine=True, **options),
+            "kl", get_solver(method, k, refine=True, **options),
             graph, seed=2006,
         ),
         iterations=1,

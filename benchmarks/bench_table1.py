@@ -7,13 +7,13 @@ Full-scale CLI: ``python -m repro.bench.table1``
 
 import pytest
 
+from repro.api import get_solver
 from repro.bench.harness import run_method
-from repro.bench.registry import make_partitioner
 
 
-def _bench(benchmark, label, partitioner, graph):
+def _bench(benchmark, label, solver, graph):
     result = benchmark.pedantic(
-        lambda: run_method(label, partitioner, graph, seed=2006),
+        lambda: run_method(label, solver, graph, seed=2006),
         iterations=1,
         rounds=1,
     )
@@ -27,15 +27,15 @@ def _bench(benchmark, label, partitioner, graph):
 class TestLinearRows:
     def test_linear_bi(self, benchmark, atc_graph, bench_k):
         _bench(benchmark, "Linear (Bi)",
-               make_partitioner("linear", bench_k), atc_graph)
+               get_solver("linear", bench_k), atc_graph)
 
     def test_linear_bi_kl(self, benchmark, atc_graph, bench_k):
         _bench(benchmark, "Linear (Bi, KL)",
-               make_partitioner("linear", bench_k, refine=True), atc_graph)
+               get_solver("linear", bench_k, refine=True), atc_graph)
 
     def test_linear_oct_kl(self, benchmark, atc_graph, bench_k):
         _bench(benchmark, "Linear (Oct, KL)",
-               make_partitioner("linear", bench_k, refine=True, arity=8),
+               get_solver("linear", bench_k, refine=True, arity=8),
                atc_graph)
 
 
@@ -48,8 +48,8 @@ class TestSpectralRows:
                  f"{', KL' if refine else ''})")
         _bench(
             benchmark, label,
-            make_partitioner("spectral", bench_k, solver=solver,
-                             arity=arity, refine=refine),
+            get_solver("spectral", bench_k, solver=solver,
+                       arity=arity, refine=refine),
             atc_graph,
         )
 
@@ -59,30 +59,30 @@ class TestMultilevelRows:
     def test_multilevel(self, benchmark, atc_graph, bench_k, arity):
         label = f"Multilevel ({'Oct' if arity == 8 else 'Bi'})"
         _bench(benchmark, label,
-               make_partitioner("multilevel", bench_k, arity=arity), atc_graph)
+               get_solver("multilevel", bench_k, arity=arity), atc_graph)
 
 
 class TestHeuristicRows:
     def test_percolation(self, benchmark, atc_graph, bench_k):
         _bench(benchmark, "Percolation",
-               make_partitioner("percolation", bench_k), atc_graph)
+               get_solver("percolation", bench_k), atc_graph)
 
 
 class TestMetaheuristicRows:
     def test_simulated_annealing(self, benchmark, atc_graph, bench_k, meta_budget):
         _bench(benchmark, "Simulated annealing",
-               make_partitioner("simulated-annealing", bench_k,
-                                time_budget=meta_budget),
+               get_solver("simulated-annealing", bench_k,
+                          time_budget=meta_budget),
                atc_graph)
 
     def test_ant_colony(self, benchmark, atc_graph, bench_k, meta_budget):
         _bench(benchmark, "Ant colony",
-               make_partitioner("ant-colony", bench_k,
-                                time_budget=meta_budget, iterations=10**9),
+               get_solver("ant-colony", bench_k,
+                          time_budget=meta_budget, iterations=10**9),
                atc_graph)
 
     def test_fusion_fission(self, benchmark, atc_graph, bench_k, meta_budget):
         _bench(benchmark, "Fusion Fission",
-               make_partitioner("fusion-fission", bench_k,
-                                time_budget=meta_budget, max_steps=10**9),
+               get_solver("fusion-fission", bench_k,
+                          time_budget=meta_budget, max_steps=10**9),
                atc_graph)

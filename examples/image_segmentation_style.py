@@ -13,7 +13,7 @@ Run:  python examples/image_segmentation_style.py
 
 import numpy as np
 
-from repro import FusionFissionPartitioner, NcutObjective, SpectralPartitioner
+from repro import NcutObjective, SolveRequest, get_solver
 from repro.graph import Graph
 
 
@@ -62,13 +62,14 @@ def main() -> None:
     print(f"pixel graph: {graph.num_vertices} pixels, {graph.num_edges} edges\n")
 
     ncut = NcutObjective()
-    spectral = SpectralPartitioner(k=2, criterion="ncut")
-    sp = spectral.partition(graph, seed=0)
+    request = SolveRequest(graph=graph, k=2, seed=0)
+    spectral = get_solver("spectral", 2, criterion="ncut")
+    sp = spectral.start(request).run().partition
     print(f"spectral Ncut relaxation : Ncut={ncut.value(sp):.4f} "
           f"accuracy={segment_accuracy(sp.assignment, image):.1%}")
 
-    ff = FusionFissionPartitioner(k=2, objective="ncut", max_steps=1500)
-    fp = ff.partition(graph, seed=0)
+    ff = get_solver("fusion-fission", 2, objective="ncut", max_steps=1500)
+    fp = ff.start(request).run().partition
     print(f"fusion-fission on Ncut   : Ncut={ncut.value(fp):.4f} "
           f"accuracy={segment_accuracy(fp.assignment, image):.1%}")
 

@@ -12,14 +12,7 @@ refinement buys (paper §2.3: "results are generally 10 to 30% better").
 Run:  python examples/mesh_load_balance.py
 """
 
-import numpy as np
-
-from repro import (
-    LinearPartitioner,
-    MultilevelPartitioner,
-    SpectralPartitioner,
-    evaluate_partition,
-)
+from repro import SolveRequest, get_solver
 from repro.graph import grid_graph
 from repro.partition import imbalance
 
@@ -31,17 +24,18 @@ def main() -> None:
           f"{p} processors\n")
 
     rows = [
-        ("linear (row-order blocks)", LinearPartitioner(k=p)),
-        ("linear + KL", LinearPartitioner(k=p, refine=True)),
-        ("spectral bisection", SpectralPartitioner(k=p)),
-        ("spectral + KL", SpectralPartitioner(k=p, refine=True)),
-        ("multilevel", MultilevelPartitioner(k=p)),
+        ("linear (row-order blocks)", "linear", {}),
+        ("linear + KL", "linear", {"refine": True}),
+        ("spectral bisection", "spectral", {}),
+        ("spectral + KL", "spectral", {"refine": True}),
+        ("multilevel", "multilevel", {}),
     ]
+    request = SolveRequest(graph=mesh, k=p, seed=7)
     print(f"{'method':<28} {'comm volume':>12} {'imbalance':>10} {'max part':>9}")
     baseline = None
-    for label, partitioner in rows:
-        partition = partitioner.partition(mesh, seed=7)
-        report = evaluate_partition(partition)
+    for label, method, options in rows:
+        result = get_solver(method, p, **options).start(request).run()
+        partition, report = result.partition, result.metrics
         if baseline is None:
             baseline = report.edge_cut
         gain = f"(-{100 * (1 - report.edge_cut / baseline):.0f}%)" if baseline else ""

@@ -8,12 +8,7 @@ three criteria of the paper (Cut, Ncut, Mcut) for each method.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    FusionFissionPartitioner,
-    MultilevelPartitioner,
-    SpectralPartitioner,
-    evaluate_partition,
-)
+from repro import SolveRequest, get_solver
 from repro.graph import weighted_caveman_graph
 
 
@@ -25,14 +20,16 @@ def main() -> None:
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges\n")
 
     methods = [
-        ("spectral (Lanczos, bisection)", SpectralPartitioner(k=8)),
-        ("multilevel (heavy-edge + FM)", MultilevelPartitioner(k=8)),
-        ("fusion-fission (paper §4)", FusionFissionPartitioner(k=8, max_steps=3000)),
+        ("spectral (Lanczos, bisection)", "spectral", {}),
+        ("multilevel (heavy-edge + FM)", "multilevel", {}),
+        ("fusion-fission (paper §4)", "fusion-fission", {"max_steps": 3000}),
     ]
+    request = SolveRequest(graph=graph, k=8, seed=42)
     print(f"{'method':<32} {'Cut':>8} {'Ncut':>8} {'Mcut':>8} {'balanced sizes'}")
-    for label, partitioner in methods:
-        partition = partitioner.partition(graph, seed=42)
-        report = evaluate_partition(partition)
+    for label, method, options in methods:
+        # One entry point for every method: build by name, start a
+        # session, run it to completion.
+        report = get_solver(method, 8, **options).start(request).run().metrics
         sizes = "/".join(str(s) for s in report.part_sizes)
         print(
             f"{label:<32} {report.cut:>8.1f} {report.ncut:>8.3f} "

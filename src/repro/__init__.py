@@ -12,8 +12,8 @@ Quickstart
 
 (:func:`repro.api.solve` runs any solver family through the unified
 session API — event streaming, budgets, checkpoint/resume; see
-``docs/api.md``.  The per-family ``partition(graph, seed)`` entry points
-remain as thin deprecated shims.)
+``docs/api.md``.  ``get_solver(method, k).start(request)`` is the one
+way to run a solver.)
 
 Package map
 -----------
@@ -29,7 +29,7 @@ Package map
 ``repro.atc``            the FABOP air-traffic application (§5)
 ``repro.bench``          Table-1 / Figure-1 reproduction harness
 ``repro.engine``         parallel portfolio runner over all solver families
-``repro.api``            unified solver API: sessions, events, checkpoints
+``repro.api``            solver registry, sessions, events, checkpoints
 """
 
 from repro.graph import Graph, GraphBuilder
@@ -49,7 +49,6 @@ from repro.annealing import SimulatedAnnealingPartitioner
 from repro.antcolony import AntColonyPartitioner
 from repro.fusionfission import FusionFissionPartitioner
 from repro.atc import core_area_graph, core_area_network, build_blocks, block_report
-from repro.bench import make_partitioner
 from repro.engine import (
     PartitionProblem,
     PortfolioResult,
@@ -63,6 +62,7 @@ from repro.api import (
     SolveReport,
     SolveRequest,
     SolveSession,
+    get_solver,
     resume,
     solve,
 )
@@ -92,7 +92,6 @@ __all__ = [
     "core_area_network",
     "build_blocks",
     "block_report",
-    "make_partitioner",
     "PartitionProblem",
     "SolverSpec",
     "PortfolioRunner",
@@ -105,6 +104,7 @@ __all__ = [
     "SolveRequest",
     "SolveReport",
     "SolveSession",
+    "get_solver",
     "solve",
     "resume",
     "__version__",

@@ -14,7 +14,9 @@ Faithful to §3.1:
   temperature triggers a cooling step.
 * **Stop** — freezing point ``T <= tmin`` (or an optional wall-clock
   deadline / step cap for the Figure-1 harness), returning the best
-  solution seen.
+  solution seen.  A run with neither also ends in a *stuck* state, one
+  whose steps can never count a refusal, so the temperature would never
+  fall (see :meth:`AnnealRun._stuck`).
 
 Moves that would empty a part are rejected outright so ``k`` stays fixed
 (SA is the paper's fixed-k baseline; changing k is fusion–fission's trick).
@@ -98,6 +100,26 @@ class AnnealRun:
         self.steps = 0
         self.finished = False
 
+    def _stuck(self) -> bool:
+        """True when the loop can never leave the current state's class:
+        k = 1, every part a singleton, no positive-weight edge (every
+        move then has delta 0 and is accepted, so no refusal ever
+        cools), or — cold — no vertex of a non-singleton part with an
+        edge into another part.  O(n + m)."""
+        partition = self.partition
+        graph = partition.graph
+        if partition.num_parts < 2 or not (graph.weights > 0).any():
+            return True
+        movable = partition.size[partition.assignment] > 1
+        if not movable.any():
+            return True
+        if self.t > self.midpoint:
+            return False  # hot: every movable vertex has a target part
+        owner = graph.arc_owners()
+        labels = partition.assignment
+        cross = (labels[owner] != labels[graph.indices]) & (graph.weights > 0)
+        return not movable[owner[cross]].any()
+
     def step(self) -> bool:
         """One iteration of the annealing loop; False once stopped.
 
@@ -124,9 +146,19 @@ class AnnealRun:
         if self.deadline.expired():
             self.finished = True
             return False
-        self.steps += 1
         partition, rng, obj = self.partition, self.rng, self.obj
         n = partition.graph.num_vertices
+        if (
+            self.max_steps is None
+            and self.time_budget is None
+            and self.steps % n == 0
+            and self._stuck()
+        ):
+            # Nothing else would ever end this run; the stuck state's
+            # best is final (one O(n + m) check per n steps).
+            self.finished = True
+            return False
+        self.steps += 1
         v = int(rng.integers(n))
         source = partition.part_of(v)
         if partition.size[source] <= 1:
@@ -393,21 +425,3 @@ class SimulatedAnnealingPartitioner:
     ) -> AnnealingSession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
         return AnnealingSession(self, request, checkpoint)
-
-    def partition(
-        self,
-        graph: Graph,
-        seed: SeedLike = None,
-        on_improvement: Callable[[float, Partition], None] | None = None,
-    ) -> Partition:
-        """Percolation init + annealing.
-
-        .. deprecated:: 1.2
-            Thin shim over :meth:`start` — prefer the session API
-            (events, budgets, checkpointing).  Results are identical.
-        """
-        session = self.start(SolveRequest(graph=graph, k=self.k, seed=seed))
-        if on_improvement is not None:
-            session.chain_improvement(on_improvement)
-        session.run()
-        return session.partition

@@ -466,21 +466,3 @@ class AntColonyPartitioner:
     ) -> AntColonySession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
         return AntColonySession(self, request, checkpoint)
-
-    def partition(
-        self,
-        graph: Graph,
-        seed: SeedLike = None,
-        on_improvement: Callable[[float, Partition], None] | None = None,
-    ) -> Partition:
-        """Percolation init + competing-colonies search.
-
-        .. deprecated:: 1.2
-            Thin shim over :meth:`start` — prefer the session API
-            (events, budgets, checkpointing).  Results are identical.
-        """
-        session = self.start(SolveRequest(graph=graph, k=self.k, seed=seed))
-        if on_improvement is not None:
-            session.chain_improvement(on_improvement)
-        session.run()
-        return session.partition

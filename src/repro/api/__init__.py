@@ -4,9 +4,10 @@ One stable, introspectable, interruptible programmatic surface over all
 six partitioner families (fusion–fission, multilevel, simulated
 annealing, ant colony, spectral/linear, percolation):
 
-* :class:`Solver` protocol — ``solver.start(request) -> SolveSession``;
-  every registered partitioner implements it (the legacy
-  ``partition(graph, seed)`` entry points remain as deprecated shims).
+* :func:`get_solver` / :class:`Solver` protocol —
+  ``get_solver(method, k, **options).start(request) -> SolveSession`` is
+  the one way to run a solver; every registered partitioner implements
+  the protocol, and :mod:`repro.api.registry` names the methods.
 * :class:`SolveRequest` / :class:`SolveReport` — the request/response
   dataclasses (graph, k, objective, balance tolerance, seed, budgets).
 * :class:`SolveSession` — ``step()``/``run()`` execution with structured
@@ -55,7 +56,7 @@ from repro.api.events import (
     JsonlEventWriter,
     SolveEvent,
 )
-from repro.api.facade import Solver, as_solver, get_solver, resume, solve
+from repro.api.facade import Solver, get_solver, resume, solve
 from repro.api.islands import IslandGroup
 from repro.api.request import (
     STATUS_CANCELLED,
@@ -87,7 +88,6 @@ __all__ = [
     "solve",
     "resume",
     "get_solver",
-    "as_solver",
     "parse_duration",
     "encode_rng",
     "decode_rng",

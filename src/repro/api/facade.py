@@ -1,10 +1,8 @@
 """Top-level entry points of the unified solver API.
 
 * :func:`get_solver` — registry-backed solver construction (every method
-  name/alias the CLI accepts).
-* :func:`as_solver` — adapt anything with a ``partition(graph, seed)``
-  method onto the :class:`Solver` protocol (the bench harness uses this
-  for its prebuilt rows).
+  name/alias the CLI accepts); ``get_solver(...).start(request)`` is the
+  one way to run a solver.
 * :func:`solve` — one-call convenience: build, start, run, report.
 * :func:`resume` — rebuild a session from a checkpoint dict and the
   graph it was solving.
@@ -18,10 +16,11 @@ from repro.common.exceptions import CheckpointError
 from repro.common.rng import SeedLike
 from repro.graph.graph import Graph
 from repro.api.events import SolveEvent
+from repro.api.registry import METHOD_FACTORIES, canonical_method
 from repro.api.request import Budget, SolveReport, SolveRequest
-from repro.api.session import CHECKPOINT_SCHEMA, OneShotSession, SolveSession
+from repro.api.session import CHECKPOINT_SCHEMA, SolveSession
 
-__all__ = ["Solver", "get_solver", "as_solver", "solve", "resume"]
+__all__ = ["Solver", "get_solver", "solve", "resume"]
 
 
 @runtime_checkable
@@ -30,8 +29,7 @@ class Solver(Protocol):
 
     ``start`` opens a :class:`~repro.api.session.SolveSession` for a
     request (optionally resuming a checkpoint); ``name`` is the
-    canonical registry name.  The legacy ``partition(graph, seed)``
-    entry points survive as thin deprecated shims over ``start``.
+    canonical registry name.
     """
 
     name: str
@@ -45,56 +43,10 @@ class Solver(Protocol):
 def get_solver(method: str, k: int, **options: Any) -> Solver:
     """Build a solver by registry name (aliases accepted).
 
-    Identical to :func:`repro.bench.registry.make_partitioner` — every
-    registered partitioner now implements the :class:`Solver` protocol.
+    Every method in :data:`~repro.api.registry.METHOD_FACTORIES`
+    implements the :class:`Solver` protocol.
     """
-    from repro.bench.registry import make_partitioner
-
-    return make_partitioner(method, k, **options)
-
-
-class _LegacySolverAdapter:
-    """Wrap a bare ``partition(graph, seed)`` object onto the protocol.
-
-    Used for third-party/prebuilt partitioners that predate the session
-    API.  The whole construction runs as one session iteration; the
-    wrapped object's own ``k`` is authoritative (exactly as the engine's
-    prebuilt-spec path always behaved).
-    """
-
-    def __init__(self, partitioner: Any) -> None:
-        self.partitioner = partitioner
-        self.name = getattr(
-            partitioner, "name", type(partitioner).__name__
-        )
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        return OneShotSession(
-            self,
-            request,
-            checkpoint,
-            build=lambda req, rng: self.partitioner.partition(
-                req.graph, seed=rng
-            ),
-        )
-
-
-def as_solver(obj: Any) -> Solver:
-    """Coerce ``obj`` to the :class:`Solver` protocol.
-
-    Objects that already expose ``start`` pass through; anything with a
-    ``partition`` method is wrapped in a one-shot adapter.
-    """
-    if hasattr(obj, "start"):
-        return obj
-    if hasattr(obj, "partition"):
-        return _LegacySolverAdapter(obj)
-    raise TypeError(
-        f"{type(obj).__name__} is neither a Solver (no .start) nor a "
-        "legacy partitioner (no .partition)"
-    )
+    return METHOD_FACTORIES[canonical_method(method)](k, **options)
 
 
 def solve(

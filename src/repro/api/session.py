@@ -11,16 +11,14 @@ JSON checkpoint that :func:`repro.api.resume` restores deterministically.
 Determinism contract
 --------------------
 For a session over a graph with **integral edge weights** (every graph
-the test suite pins seeds on), the following three runs produce
+the test suite pins seeds on), the following two runs produce
 bit-identical final partitions:
 
-1. the deprecated ``partitioner.partition(graph, seed)`` shim,
-2. ``solver.start(request).run()`` uninterrupted,
-3. run-to-iteration-``i`` → ``checkpoint()`` → JSON round-trip →
+1. ``get_solver(method, k).start(request).run()`` uninterrupted,
+2. run-to-iteration-``i`` → ``checkpoint()`` → JSON round-trip →
    ``resume`` → ``run()``.
 
-The shims guarantee (1)≡(2) structurally — they *are* session runs.  For
-(3) the checkpoint stores the numpy bit-generator state verbatim plus
+For (2) the checkpoint stores the numpy bit-generator state verbatim plus
 every float the solver threads through comparisons (energies are
 round-tripped exactly by JSON's shortest-repr float encoding); partitions
 are rebuilt from their assignment arrays, whose derived aggregates are
@@ -211,8 +209,8 @@ class SolveSession(ABC):
     def _setup(self) -> None:
         """Build the initial solver state (fresh sessions only).
 
-        Every random draw must go through ``self.rng`` so the session
-        replays the exact stream of the legacy ``partition`` entry point.
+        Every random draw must go through ``self.rng`` so a seeded
+        session, and its checkpoint/resume, replay one exact stream.
         """
 
     @abstractmethod
@@ -314,32 +312,6 @@ class SolveSession(ABC):
     def _incumbent_improved(self, objective: float, **payload: Any) -> None:
         """Solver steppers call this whenever the best solution improves."""
         self._emit(EVENT_INCUMBENT, objective=objective, **payload)
-
-    def chain_improvement(
-        self, callback: Callable[[float, Partition], None]
-    ) -> None:
-        """Chain a legacy ``(value, best_partition)`` callback onto the
-        session's incumbent wiring.
-
-        Only meaningful for stepper-based sessions (the iterative
-        families expose their loop as ``self._run`` with an
-        ``on_improvement`` hook); the deprecated ``partition`` shims use
-        this to keep their historical ``on_improvement`` argument.
-        """
-        run = getattr(self, "_run", None)
-        if run is None:
-            raise ReproError(
-                f"session ({self.method}) has no incumbent stream to "
-                "chain a callback onto"
-            )
-        emit = run.on_improvement
-
-        def chained(value: float, best: Partition) -> None:
-            if emit is not None:
-                emit(value, best)
-            callback(value, best)
-
-        run.on_improvement = chained
 
     # -- time accounting ----------------------------------------------------
     def elapsed(self) -> float:
@@ -634,25 +606,16 @@ class OneShotSession(SolveSession):
     carries the finished assignment.
     """
 
-    def __init__(
-        self,
-        solver: Any,
-        request: SolveRequest,
-        checkpoint: dict | None = None,
-        build: Callable[[SolveRequest, np.random.Generator], Partition]
-        | None = None,
-    ) -> None:
-        self._build = build or (
-            lambda req, rng: solver.partition(req.graph, seed=rng)
-        )
-        self._result: Partition | None = None
-        super().__init__(solver, request, checkpoint)
+    #: the finished construction; None until the one iteration has run
+    _result: Partition | None = None
 
     def _setup(self) -> None:
         self._set_phase("construct")
 
     def _advance(self) -> bool:
-        self._result = self._build(self.request, self.rng)
+        self._result = self.solver.partition(
+            self.request.graph, seed=self.rng
+        )
         return False
 
     def _best_partition(self) -> Partition | None:

@@ -93,16 +93,18 @@ def build_blocks(
     k:
         Block count (the paper studies k = 32).
     method:
-        Any registered method name from :mod:`repro.bench.registry`
+        Any registered method name from :mod:`repro.api.registry`
         (``"fusion-fission"``, ``"simulated-annealing"``, ``"ant-colony"``,
         ``"multilevel"``, ``"spectral"``, ``"linear"``, ``"percolation"``).
     method_options:
         Extra keyword arguments forwarded to the method constructor.
     """
-    from repro.bench.registry import make_partitioner
+    from repro.api import SolveRequest, get_solver
 
-    partitioner = make_partitioner(method, k, **method_options)
-    partition = partitioner.partition(network.graph, seed=seed)
+    solver = get_solver(method, k, **method_options)
+    partition = solver.start(
+        SolveRequest(graph=network.graph, k=k, seed=seed)
+    ).run().partition
     if partition.num_parts != k:
         raise ConfigurationError(
             f"method {method!r} returned {partition.num_parts} blocks, "

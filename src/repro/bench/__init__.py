@@ -1,8 +1,8 @@
 """Benchmark harness reproducing the paper's evaluation (§6).
 
-* :mod:`repro.bench.registry` — name → partitioner factory (with user
-  aliases and per-method budget plumbing), plus the exact 17-method
-  matrix of Table 1,
+* :mod:`repro.bench.registry` — the exact 17-method matrix of Table 1,
+  as ``(label, SolverSpec)`` rows over the method registry
+  (:mod:`repro.api.registry`),
 * :mod:`repro.bench.harness` — run a method suite on a graph through the
   portfolio engine and collect Cut/Ncut/Mcut rows (``jobs > 1`` uses a
   process pool),
@@ -14,27 +14,11 @@
   good partitions for a *range* of k around the target.
 """
 
-from repro.bench.registry import (
-    METHOD_ALIASES,
-    METHOD_FACTORIES,
-    METHOD_SUMMARIES,
-    budget_options,
-    canonical_method,
-    list_methods,
-    make_partitioner,
-    table1_methods,
-)
+from repro.bench.registry import table1_methods
 from repro.bench.harness import MethodResult, run_method, run_suite, format_table
 
 __all__ = [
-    "make_partitioner",
-    "canonical_method",
-    "budget_options",
-    "list_methods",
     "table1_methods",
-    "METHOD_FACTORIES",
-    "METHOD_ALIASES",
-    "METHOD_SUMMARIES",
     "MethodResult",
     "run_method",
     "run_suite",

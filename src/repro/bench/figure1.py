@@ -64,12 +64,6 @@ class QualityTrace:
         return {"label": self.label, "times": self.times, "values": self.values}
 
 
-def _mcut_of(partition) -> float:
-    from repro.partition.objectives import McutObjective
-
-    return McutObjective().value(partition)
-
-
 def trace_metaheuristic(
     method: str,
     graph,
@@ -78,15 +72,17 @@ def trace_metaheuristic(
     seed: SeedLike = None,
 ) -> QualityTrace:
     """Run one metaheuristic for ``budget`` seconds, recording every
-    improvement of the Mcut objective (at the target k)."""
-    from repro.bench.registry import make_partitioner
+    improvement of the Mcut objective (at the target k) from the
+    session's ``incumbent`` events."""
+    from repro.api import EVENT_INCUMBENT, SolveRequest, get_solver
 
     trace = QualityTrace(label=method)
     timer = Timer()
     timer.restart()
 
-    def on_improvement(_energy: float, partition) -> None:
-        trace.record(timer.peek(), _mcut_of(partition))
+    def on_event(event) -> None:
+        if event.type == EVENT_INCUMBENT:
+            trace.record(timer.peek(), event.objective)
 
     options: dict = {"time_budget": budget, "objective": "mcut"}
     if method == "fusion-fission":
@@ -96,9 +92,12 @@ def trace_metaheuristic(
         options["tmin"] = 0.0
     elif method == "ant-colony":
         options["iterations"] = 10**9
-    partitioner = make_partitioner(method, k, **options)
-    final = partitioner.partition(graph, seed=seed, on_improvement=on_improvement)
-    trace.record(timer.peek(), _mcut_of(final))
+    session = get_solver(method, k, **options).start(
+        SolveRequest(graph=graph, k=k, seed=seed)
+    )
+    session.subscribe(on_event)
+    report = session.run()
+    trace.record(timer.peek(), report.metrics.mcut)
     return trace
 
 
@@ -115,11 +114,11 @@ def reference_lines(
 
     best: dict[str, float] = {"spectral": float("inf"), "multilevel": float("inf")}
     selected = [
-        (label, partitioner)
-        for label, partitioner in table1_methods(k=k)
+        (label, spec)
+        for label, spec in table1_methods()
         if label.split(" ")[0].lower() in best
     ]
-    for result in run_suite(selected, graph, seed=seed, jobs=jobs):
+    for result in run_suite(selected, graph, k, seed=seed, jobs=jobs):
         family = result.label.split(" ")[0].lower()
         best[family] = min(best[family], result.mcut)
     return best
@@ -138,7 +137,7 @@ def run_figure1(
     """Produce all Figure-1 series: metaheuristic traces + reference lines.
 
     ``jobs`` parallelises the reference lines only; the traces stay
-    sequential because their improvement callbacks sample a shared
+    sequential because their incumbent events sample a shared
     wall-clock.
     """
     if graph is None:

@@ -1,28 +1,23 @@
 """Suite runner and table formatting for the reproduction benchmarks.
 
-Since the portfolio engine landed, :func:`run_suite` is a thin adapter
-over :class:`repro.engine.PortfolioRunner`: each ``(label, partitioner)``
-row becomes a prebuilt :class:`~repro.engine.SolverSpec` and the suite
-executes on the engine — sequentially by default, or on a process pool
-with ``jobs > 1`` (the Table-1/Figure-1 benches pass ``--jobs`` through
-and get multi-core for free).  Seed derivation is unchanged from the
-pre-engine harness: one generator spawned per method, in row order.
-
-Both paths now run on the :mod:`repro.api` session layer —
-:func:`run_method` drives one entrant as ``as_solver(partitioner)
-.start(request).run()``, and the engine's ``execute_task`` does the same
-per grid cell — so every bench row carries the uniform per-iteration
-telemetry of the unified API while producing the exact partitions the
-pre-session harness did.
+:func:`run_suite` is a thin adapter over
+:class:`repro.engine.PortfolioRunner`: each ``(label, SolverSpec)`` row
+(:func:`repro.bench.registry.table1_methods`) is one portfolio entrant,
+and the suite executes on the engine — sequentially by default, or on a
+process pool with ``jobs > 1`` (the Table-1/Figure-1 benches pass
+``--jobs`` through).  Seed derivation: one generator spawned per
+method, in row order.  :func:`run_method` drives one solver as
+``solver.start(request).run()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.common.exceptions import ReproError
 from repro.common.rng import SeedLike, ensure_rng
 from repro.common.timer import Timer
+from repro.engine.spec import SolverSpec
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -74,13 +69,14 @@ class MethodResult:
         }
 
 
-def run_method(label: str, partitioner, graph: Graph, seed: SeedLike = None) -> MethodResult:
-    """Run one partitioner through the session API; score on all criteria."""
-    from repro.api import SolveRequest, as_solver
+def run_method(
+    label: str, solver, graph: Graph, seed: SeedLike = None
+) -> MethodResult:
+    """Run one solver (:func:`repro.api.get_solver`) through a session;
+    score on all criteria."""
+    from repro.api import SolveRequest
 
-    solver = as_solver(partitioner)
-    k = int(getattr(partitioner, "k", 1))
-    request = SolveRequest(graph=graph, k=k, seed=seed, name=label)
+    request = SolveRequest(graph=graph, k=solver.k, seed=seed, name=label)
     with Timer() as timer:
         # The session report carries the full evaluate_partition metrics;
         # no second scoring pass needed.
@@ -104,30 +100,29 @@ def _format_progress(result: MethodResult) -> str:
 
 
 def run_suite(
-    methods: list[tuple[str, object]],
+    methods: list[tuple[str, SolverSpec]],
     graph: Graph,
+    k: int,
     seed: SeedLike = None,
     verbose: bool = False,
     jobs: int = 1,
 ) -> list[MethodResult]:
-    """Run every (label, partitioner) pair; one spawned seed per method.
+    """Run every (label, spec) row at ``k`` parts; one spawned seed per
+    method.
 
     ``jobs > 1`` fans the suite out on the engine's process pool; results
     (and their seeds) are identical to a sequential run, only wall-clock
     changes.
     """
-    from repro.engine import PartitionProblem, PortfolioRunner, SolverSpec
+    from repro.engine import PartitionProblem, PortfolioRunner
 
     if not methods:
         return []
     rng = ensure_rng(seed)
-    specs = [SolverSpec.from_partitioner(label, p) for label, p in methods]
+    specs = [replace(spec, label=label) for label, spec in methods]
     seed_grid = [[rng.spawn(1)[0]] for _ in specs]
     problem = PartitionProblem(
-        graph,
-        k=max(int(getattr(p, "k", 1)) for _, p in methods),
-        objective="mcut",
-        name="bench-suite",
+        graph, k=k, objective="mcut", name="bench-suite"
     )
     runner = PortfolioRunner(specs, num_seeds=1, jobs=jobs, seed=0)
 

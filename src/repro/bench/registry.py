@@ -1,236 +1,59 @@
-"""Method registry: canonical names → partitioner factories.
+"""The method matrix of the paper's Table 1.
 
-Every partitioner in the library exposes ``partition(graph, seed=None) ->
-Partition``; the registry lets the harness, the portfolio engine, the
-FABOP API and the examples instantiate them uniformly.
-:func:`canonical_method` resolves user-facing aliases (``annealing``,
-``ff``, …), :func:`budget_options` centralises the per-method knobs that
-turn a wall-clock budget into authoritative stopping criteria, and
-:func:`table1_methods` returns the exact method matrix of the paper's
-Table 1 (17 rows).
+:func:`table1_methods` returns the 17 rows as ``(label, SolverSpec)``
+pairs: every row is a registry method (:mod:`repro.api.registry`) plus
+constructor options, so the harness runs them like any portfolio
+entrant, at whatever ``k`` the suite is run for.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from repro.api.registry import budget_options
+from repro.engine.spec import SolverSpec
 
-from repro.common.exceptions import ConfigurationError
-
-__all__ = [
-    "METHOD_FACTORIES",
-    "METHOD_ALIASES",
-    "METHOD_SUMMARIES",
-    "METAHEURISTICS",
-    "canonical_method",
-    "budget_options",
-    "list_methods",
-    "make_partitioner",
-    "make_solver",
-    "table1_methods",
-]
-
-
-def _linear(k: int, **opts: Any):
-    from repro.spectral.partitioner import LinearPartitioner
-
-    return LinearPartitioner(k=k, **opts)
-
-
-def _spectral(k: int, **opts: Any):
-    from repro.spectral.partitioner import SpectralPartitioner
-
-    return SpectralPartitioner(k=k, **opts)
-
-
-def _multilevel(k: int, **opts: Any):
-    from repro.multilevel.partitioner import MultilevelPartitioner
-
-    return MultilevelPartitioner(k=k, **opts)
-
-
-def _percolation(k: int, **opts: Any):
-    from repro.percolation.percolation import PercolationPartitioner
-
-    return PercolationPartitioner(k=k, **opts)
-
-
-def _annealing(k: int, **opts: Any):
-    from repro.annealing.sa import SimulatedAnnealingPartitioner
-
-    return SimulatedAnnealingPartitioner(k=k, **opts)
-
-
-def _antcolony(k: int, **opts: Any):
-    from repro.antcolony.colony import AntColonyPartitioner
-
-    return AntColonyPartitioner(k=k, **opts)
-
-
-def _fusionfission(k: int, **opts: Any):
-    from repro.fusionfission.partitioner import FusionFissionPartitioner
-
-    return FusionFissionPartitioner(k=k, **opts)
-
-
-METHOD_FACTORIES: dict[str, Callable[..., Any]] = {
-    "linear": _linear,
-    "spectral": _spectral,
-    "multilevel": _multilevel,
-    "percolation": _percolation,
-    "simulated-annealing": _annealing,
-    "ant-colony": _antcolony,
-    "fusion-fission": _fusionfission,
-}
-
-#: User-facing shorthands accepted wherever a method name is expected.
-METHOD_ALIASES: dict[str, str] = {
-    "annealing": "simulated-annealing",
-    "sa": "simulated-annealing",
-    "antcolony": "ant-colony",
-    "ants": "ant-colony",
-    "aco": "ant-colony",
-    "ff": "fusion-fission",
-    "fusionfission": "fusion-fission",
-    "ml": "multilevel",
-}
-
-#: One-line description per canonical method (``repro portfolio
-#: --list-methods`` and the README table are generated from this).
-METHOD_SUMMARIES: dict[str, str] = {
-    "linear": "index-order recursive split; the do-nothing baseline",
-    "spectral": "Lanczos/RQI Fiedler-vector recursion, optional KL",
-    "multilevel": "coarsen → initial partition → FM-refined uncoarsening",
-    "percolation": "the paper's §4.4 flooding heuristic from k centres",
-    "simulated-annealing": "Metropolis vertex moves at fixed k (paper §3.1)",
-    "ant-colony": "k competing colonies claiming territory (paper §3.2)",
-    "fusion-fission": "the paper's contribution: variable-k atom dynamics (§4)",
-}
-
-#: Methods that honour ``time_budget`` / ``objective`` options.
-METAHEURISTICS = frozenset(
-    {"simulated-annealing", "ant-colony", "fusion-fission"}
-)
-
-
-def _known_methods_text() -> str:
-    """``canonical (aliases: …)`` lines for unknown-method errors."""
-    rows = []
-    for name in sorted(METHOD_FACTORIES):
-        aliases = sorted(a for a, c in METHOD_ALIASES.items() if c == name)
-        rows.append(
-            f"{name} (aliases: {', '.join(aliases)})" if aliases else name
-        )
-    return "; ".join(rows)
-
-
-def canonical_method(method: str) -> str:
-    """Resolve a method name or alias to its canonical registry key.
-
-    Unknown names raise a :class:`ConfigurationError` that lists every
-    canonical method with its aliases (and a close-match suggestion when
-    one exists) — never a bare ``KeyError``.
-    """
-    key = str(method).strip().lower()
-    key = METHOD_ALIASES.get(key, key)
-    if key not in METHOD_FACTORIES:
-        import difflib
-
-        candidates = list(METHOD_FACTORIES) + list(METHOD_ALIASES)
-        close = difflib.get_close_matches(key, candidates, n=1, cutoff=0.6)
-        hint = f" (did you mean {close[0]!r}?)" if close else ""
-        raise ConfigurationError(
-            f"unknown method {method!r}{hint}; known methods: "
-            f"{_known_methods_text()}"
-        )
-    return key
-
-
-def list_methods() -> list[tuple[str, list[str], str]]:
-    """``(canonical name, aliases, summary)`` rows for every method."""
-    rows = []
-    for name in sorted(METHOD_FACTORIES):
-        aliases = sorted(a for a, c in METHOD_ALIASES.items() if c == name)
-        rows.append((name, aliases, METHOD_SUMMARIES.get(name, "")))
-    return rows
-
-
-def budget_options(method: str, time_budget: float | None) -> dict[str, Any]:
-    """Options that make ``time_budget`` the authoritative stop criterion.
-
-    The metaheuristics stop at *either* their step/iteration cap or the
-    wall-clock budget; when a budget is given the caps are lifted so the
-    whole budget is used.  Non-metaheuristics ignore budgets (they are
-    direct constructions) and get no options.
-    """
-    key = canonical_method(method)
-    if time_budget is None or key not in METAHEURISTICS:
-        return {}
-    options: dict[str, Any] = {"time_budget": time_budget}
-    if key == "fusion-fission":
-        options["max_steps"] = 10**9
-    elif key == "ant-colony":
-        options["iterations"] = 10**9
-    return options
-
-
-def make_partitioner(method: str, k: int, **options: Any):
-    """Instantiate a partitioner by registry name (aliases accepted).
-
-    Every registered partitioner implements the
-    :class:`repro.api.Solver` protocol (``start(request) ->
-    SolveSession``) in addition to the deprecated ``partition`` shim, so
-    this doubles as the solver factory behind
-    :func:`repro.api.get_solver`.
-    """
-    return METHOD_FACTORIES[canonical_method(method)](k, **options)
-
-
-def make_solver(method: str, k: int, **options: Any):
-    """Alias of :func:`make_partitioner` under its session-API name."""
-    return make_partitioner(method, k, **options)
+__all__ = ["table1_methods"]
 
 
 def table1_methods(
-    k: int = 32,
     metaheuristic_budget: float | None = None,
-) -> list[tuple[str, Any]]:
-    """The 17 (label, partitioner) rows of the paper's Table 1.
+) -> list[tuple[str, SolverSpec]]:
+    """The 17 (label, spec) rows of the paper's Table 1.
 
-    Parameters
-    ----------
-    k:
-        Part count (paper: 32).
-    metaheuristic_budget:
-        Optional per-run wall-clock budget (seconds) for SA, ant colony
-        and fusion–fission; ``None`` uses their step-count defaults.
+    ``metaheuristic_budget`` is an optional per-run wall-clock budget
+    (seconds) for SA, ant colony and fusion–fission; ``None`` uses their
+    step-count defaults.  When a budget is given it is authoritative:
+    the step/iteration caps are lifted so every metaheuristic uses its
+    whole budget.
     """
-    rows: list[tuple[str, Any]] = [
-        ("Linear (Bi)", _linear(k)),
-        ("Linear (Bi, KL)", _linear(k, refine=True)),
-        ("Linear (Oct, KL)", _linear(k, refine=True, arity=8)),
-        ("Spectral (Lanc, Bi)", _spectral(k, solver="lanczos", arity=2)),
-        ("Spectral (Lanc, Bi, KL)", _spectral(k, solver="lanczos", arity=2, refine=True)),
-        ("Spectral (Lanc, Oct)", _spectral(k, solver="lanczos", arity=8)),
-        ("Spectral (Lanc, Oct, KL)", _spectral(k, solver="lanczos", arity=8, refine=True)),
-        ("Spectral (RQI, Bi)", _spectral(k, solver="rqi", arity=2)),
-        ("Spectral (RQI, Bi, KL)", _spectral(k, solver="rqi", arity=2, refine=True)),
-        ("Spectral (RQI, Oct)", _spectral(k, solver="rqi", arity=8)),
-        ("Spectral (RQI, Oct, KL)", _spectral(k, solver="rqi", arity=8, refine=True)),
-        ("Multilevel (Bi)", _multilevel(k, arity=2)),
-        ("Multilevel (Oct)", _multilevel(k, arity=8)),
-        ("Percolation", _percolation(k)),
-        ("Simulated annealing", _annealing(k, time_budget=metaheuristic_budget)),
-        # When a wall-clock budget is given it is authoritative: lift the
-        # step/iteration caps so every metaheuristic uses its whole budget.
-        ("Ant colony", _antcolony(
-            k,
-            time_budget=metaheuristic_budget,
-            iterations=10**9 if metaheuristic_budget else 200,
-        )),
-        ("Fusion Fission", _fusionfission(
-            k,
-            time_budget=metaheuristic_budget,
-            max_steps=10**9 if metaheuristic_budget else 4000,
-        )),
+    rows = [
+        ("Linear (Bi)", "linear", {}),
+        ("Linear (Bi, KL)", "linear", {"refine": True}),
+        ("Linear (Oct, KL)", "linear", {"refine": True, "arity": 8}),
+        ("Spectral (Lanc, Bi)", "spectral",
+         {"solver": "lanczos", "arity": 2}),
+        ("Spectral (Lanc, Bi, KL)", "spectral",
+         {"solver": "lanczos", "arity": 2, "refine": True}),
+        ("Spectral (Lanc, Oct)", "spectral",
+         {"solver": "lanczos", "arity": 8}),
+        ("Spectral (Lanc, Oct, KL)", "spectral",
+         {"solver": "lanczos", "arity": 8, "refine": True}),
+        ("Spectral (RQI, Bi)", "spectral", {"solver": "rqi", "arity": 2}),
+        ("Spectral (RQI, Bi, KL)", "spectral",
+         {"solver": "rqi", "arity": 2, "refine": True}),
+        ("Spectral (RQI, Oct)", "spectral", {"solver": "rqi", "arity": 8}),
+        ("Spectral (RQI, Oct, KL)", "spectral",
+         {"solver": "rqi", "arity": 8, "refine": True}),
+        ("Multilevel (Bi)", "multilevel", {"arity": 2}),
+        ("Multilevel (Oct)", "multilevel", {"arity": 8}),
+        ("Percolation", "percolation", {}),
+        ("Simulated annealing", "simulated-annealing",
+         budget_options("simulated-annealing", metaheuristic_budget)),
+        ("Ant colony", "ant-colony",
+         budget_options("ant-colony", metaheuristic_budget)),
+        ("Fusion Fission", "fusion-fission",
+         budget_options("fusion-fission", metaheuristic_budget)),
     ]
-    return rows
+    return [
+        (label, SolverSpec(method, options, label))
+        for label, method, options in rows
+    ]

@@ -48,8 +48,8 @@ def run_table1(
             graph = instance_graph(instance, seed)
         else:
             graph = core_area_graph(seed=seed)
-    methods = table1_methods(k=k, metaheuristic_budget=metaheuristic_budget)
-    return run_suite(methods, graph, seed=seed, verbose=verbose, jobs=jobs)
+    methods = table1_methods(metaheuristic_budget=metaheuristic_budget)
+    return run_suite(methods, graph, k, seed=seed, verbose=verbose, jobs=jobs)
 
 
 def main(argv: list[str] | None = None) -> None:

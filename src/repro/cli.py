@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Eight subcommands, mirroring how Chaco/Metis are driven from the shell::
+The subcommands mirror how Chaco/Metis are driven from the shell::
 
     repro solve INPUT -k 32 --method ff --budget 2s --events events.jsonl \\
-                --checkpoint ck.json
-    repro partition INPUT -k 32 --method fusion-fission -o parts.txt
+                --checkpoint ck.json -o parts.txt
     repro portfolio INPUT -k 32 --methods ff,annealing --seeds 4 --jobs 4
     repro workloads run atc-core --json report.json
     repro evaluate INPUT parts.txt
@@ -14,19 +13,17 @@ Eight subcommands, mirroring how Chaco/Metis are driven from the shell::
 
 (``python -m repro`` is equivalent to the ``repro`` console script.)
 
-* ``solve`` runs one method through the unified :mod:`repro.api` session
-  layer: structured event streaming (``--events`` JSONL), cooperative
-  wall-clock/iteration budgets (``--budget 2s``, ``--iterations N``),
-  and checkpointing — ``--checkpoint ck.json`` writes the session state
-  on exit (done or paused), ``--resume ck.json`` continues a previous
-  run deterministically.
-* ``partition`` reads a graph (METIS ``.graph``, edge-list ``.txt``/
-  ``.edges`` or ``.json``), partitions it with any registered method and
-  writes one part id per line (Metis' output convention).  With
-  ``--seeds N [--parallel]`` it runs N seeded restarts (optionally on a
-  process pool) and keeps the best.
+* ``solve`` reads a graph (METIS ``.graph``, edge-list ``.txt``/
+  ``.edges`` or ``.json``), runs one method through the unified
+  :mod:`repro.api` session layer and writes one part id per line (Metis'
+  output convention): structured event streaming (``--events`` JSONL),
+  cooperative wall-clock/iteration budgets (``--budget 2s``,
+  ``--iterations N``), and checkpointing — ``--checkpoint ck.json``
+  writes the session state on exit (done or paused), ``--resume ck.json``
+  continues a previous run deterministically.
 * ``portfolio`` fans one instance out across (method × seed) on the
-  portfolio engine's process pool, prints per-method statistics (plus a
+  portfolio engine's process pool — seeded restarts of one method are
+  ``--methods M --seeds N`` — prints per-method statistics (plus a
   failure summary when runs failed) and writes the best assignment / a
   JSON report.  ``--retries``/``--task-timeout`` turn on the engine's
   fault tolerance (same-seed retries, straggler reaping, pool
@@ -57,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench.registry import METHOD_FACTORIES, list_methods
+from repro.api.registry import METHOD_FACTORIES, list_methods
 from repro.common.atomic import atomic_write_json
 from repro.common.exceptions import GraphError, ReproError
 from repro.graph import (
@@ -147,7 +144,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         parse_duration,
         resume,
     )
-    from repro.bench.registry import canonical_method
+    from repro.api.registry import METAHEURISTICS, canonical_method
 
     if args.resume is None and args.k is None:
         raise ReproError("solve needs -k (or --resume CHECKPOINT)")
@@ -170,18 +167,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
     else:
         # Method names are validated before any graph I/O.  Unlike
-        # `partition --budget` (which lifts the metaheuristics' step
+        # `portfolio --budget` (which lifts the metaheuristics' step
         # caps and runs the whole budget down), solve keeps each
         # solver's own caps as the natural completion criterion: the
         # session budget *pauses* the run cooperatively, and the
         # checkpoint it leaves behind resumes to a bounded finish.
         method = canonical_method(args.method)
         options = {}
-        if args.objective is not None:
-            from repro.bench.registry import METAHEURISTICS
-
-            if method in METAHEURISTICS:
-                options["objective"] = args.objective
+        if args.objective is not None and method in METAHEURISTICS:
+            options["objective"] = args.objective
         graph = read_graph_auto(args.input)
         solver = get_solver(method, args.k, **options)
         session = solver.start(SolveRequest(
@@ -233,58 +227,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"--resume {args.checkpoint}",
             file=sys.stderr,
         )
-    return 0
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    from repro.engine import PartitionProblem, PortfolioRunner, SolverSpec
-
-    if args.seeds < 1:
-        raise ReproError(f"--seeds must be >= 1, got {args.seeds}")
-    # Both branches build through SolverSpec.for_method so the
-    # objective/budget plumbing stays registry-driven in one place; a
-    # bad method name fails before any graph I/O.
-    spec = SolverSpec.for_method(
-        args.method, objective=args.objective, time_budget=args.budget
-    )
-    graph = read_graph_auto(args.input)
-    # --parallel / --jobs imply the engine path even with the default
-    # --seeds 1, so the flags are never silently ignored.
-    if args.seeds > 1 or args.parallel or args.jobs is not None:
-        jobs = args.jobs if args.jobs is not None else (
-            None if args.parallel else 1
-        )
-        runner = PortfolioRunner(
-            [spec], num_seeds=args.seeds, jobs=jobs, seed=args.seed
-        )
-        problem = PartitionProblem(
-            graph, k=args.k, objective=args.objective or "mcut",
-            name=str(args.input),
-        )
-        # With a single seed, pass --seed straight through so that
-        # --parallel/--jobs change only the execution strategy, never
-        # the partition the exact same request produced without them.
-        result = runner.run(
-            problem,
-            seed_grid=[[args.seed]] if args.seeds == 1 else None,
-        )
-        best = result.best
-        if best is None:
-            raise ReproError(
-                "every seeded run failed: "
-                + "; ".join(r.error or "?" for r in result.records)
-            )
-        print(
-            f"# best of {len(result.records)} runs: seed #{best.seed_index} "
-            f"{problem.objective}={best.objective:.6g}",
-            file=sys.stderr,
-        )
-        assignment, report = best.assignment, best.report
-    else:
-        partition = spec.build(args.k).partition(graph, seed=args.seed)
-        assignment, report = partition.assignment, evaluate_partition(partition)
-    _write_assignment(assignment, args.output)
-    _print_report(report)
     return 0
 
 
@@ -675,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget, e.g. '2s', '500ms', '1.5m'; "
                         "the session *pauses* at the budget (resumable "
                         "via --checkpoint), it does not lift solver step "
-                        "caps like `partition --budget` does")
+                        "caps like `portfolio --budget` does")
     s.add_argument("--iterations", type=int, default=None,
                    help="session-iteration budget (same pause semantics)")
     s.add_argument("--islands", type=int, default=1,
@@ -697,28 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-o", "--output", default=None,
                    help="assignment file (stdout if omitted)")
     s.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("partition", help="partition a graph file")
-    p.add_argument("input")
-    p.add_argument("-k", type=int, required=True, help="number of parts")
-    p.add_argument("--method", default="fusion-fission",
-                   help="method name or alias "
-                        f"(canonical: {', '.join(sorted(METHOD_FACTORIES))})")
-    p.add_argument("--objective", default="mcut",
-                   choices=["cut", "ncut", "mcut"],
-                   help="criterion for the metaheuristics")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=1,
-                   help="seeded restarts; keep the best (default 1)")
-    p.add_argument("--parallel", action="store_true",
-                   help="run restarts on a process pool (all cores)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for --seeds (implies --parallel)")
-    p.add_argument("--budget", type=float, default=None,
-                   help="wall-clock seconds for metaheuristics")
-    p.add_argument("-o", "--output", default=None,
-                   help="assignment file (stdout if omitted)")
-    p.set_defaults(func=_cmd_partition)
 
     f = sub.add_parser(
         "portfolio",

@@ -11,7 +11,7 @@ this package makes that the first-class execution primitive:
 * :mod:`repro.engine.problem` — :class:`PartitionProblem`, the instance
   (graph, k, objective) every component agrees on;
 * :mod:`repro.engine.spec` — :class:`SolverSpec`, declarative solver
-  adapters over the :mod:`repro.bench.registry` factories;
+  adapters over the :mod:`repro.api.registry` factories;
 * :mod:`repro.engine.runner` — :class:`PortfolioRunner`, the
   (spec × seed) grid executor with in-process and process-pool
   backends, deterministic seeding and deadline cancellation;

@@ -173,9 +173,7 @@ def execute_task(
     """Run one task against ``graph`` through the session API and score it.
 
     The solver executes as a :class:`repro.api.SolveSession`
-    (``solver.start(request).run()``), which produces the exact same
-    partition as the deprecated ``partition(graph, seed)`` path — the
-    shims *are* session runs — while additionally reporting per-run
+    (``solver.start(request).run()``), which also reports per-run
     iteration counts for the telemetry layer.
 
     ``task.timeout`` bounds the solve cooperatively: the session pauses
@@ -200,7 +198,7 @@ def execute_task(
             inject_before_solve(
                 task.fault, in_pool=in_pool, timeout=task.timeout
             )
-        solver = task.spec.build_solver(task.k, attempt=task.attempt)
+        solver = task.spec.build(task.k)
         # With a timeout, heartbeat fast enough that the runner's reaper
         # (silence > timeout) never fires on a live, iterating session.
         heartbeat_interval = 1.0

@@ -1,32 +1,21 @@
 """The solver half of the engine API: *how* to partition.
 
-A :class:`SolverSpec` is a declarative recipe for one portfolio entrant.
-Normally it names a registry method plus constructor options and the
-engine instantiates a fresh solver per run (safe to ship across process
-boundaries); alternatively it can wrap an already-constructed
-partitioner object, which is how the bench harness adapts its
-``(label, partitioner)`` rows onto the engine without rebuilding them.
-
-Since the :mod:`repro.api` redesign the engine executes every entrant
-through the session protocol: :meth:`SolverSpec.build_solver` returns a
-:class:`repro.api.Solver` (every registry partitioner implements it
-natively; prebuilt objects without ``start`` are wrapped by
-:func:`repro.api.as_solver`), and the runner drives
-``solver.start(request).run()`` instead of calling ``partition``
-directly — same partitions, plus per-run iteration/event telemetry.
+A :class:`SolverSpec` is a declarative recipe for one portfolio entrant:
+a registry method plus constructor options.  The engine instantiates a
+fresh solver per run (safe to ship across process boundaries) through
+:meth:`SolverSpec.build` and drives ``solver.start(request).run()``.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.bench.registry import (
+from repro.api.facade import get_solver
+from repro.api.registry import (
     METAHEURISTICS,
     budget_options,
     canonical_method,
-    make_partitioner,
 )
 
 __all__ = ["SolverSpec"]
@@ -41,30 +30,19 @@ class SolverSpec:
     method:
         Registry name (aliases like ``annealing``/``ff`` accepted).
     options:
-        Extra keyword arguments for the partitioner factory.
+        Extra keyword arguments for the solver factory.
     label:
         Display name; defaults to the canonical method name.
-    partitioner:
-        Optional prebuilt partitioner.  When set, ``method``/``options``
-        are informational only and :meth:`build` returns it as-is.
     """
 
     method: str
     options: dict[str, Any] = field(default_factory=dict)
     label: str | None = None
-    partitioner: Any = None
 
     def __post_init__(self) -> None:
-        if self.partitioner is None:
-            self.method = canonical_method(self.method)
+        self.method = canonical_method(self.method)
         if self.label is None:
             self.label = self.method
-
-    @classmethod
-    def from_partitioner(cls, label: str, partitioner: Any) -> "SolverSpec":
-        """Wrap an existing partitioner object (bench-harness adapter)."""
-        method = getattr(partitioner, "name", type(partitioner).__name__)
-        return cls(method=method, label=label, partitioner=partitioner)
 
     @classmethod
     def for_method(
@@ -78,8 +56,7 @@ class SolverSpec:
 
         ``objective`` and ``time_budget`` are forwarded only to methods
         that support them (the metaheuristics); the step/iteration caps
-        are lifted when a budget is given, exactly as the ``partition``
-        CLI subcommand always did.
+        are lifted when a budget is given (:func:`budget_options`).
         """
         key = canonical_method(method)
         opts = dict(options)
@@ -89,27 +66,8 @@ class SolverSpec:
         return cls(method=key, options=opts)
 
     def build(self, k: int) -> Any:
-        """Instantiate (or return) the partitioner for ``k`` parts."""
-        if self.partitioner is not None:
-            return self.partitioner
-        return make_partitioner(self.method, k, **self.options)
-
-    def build_solver(self, k: int, attempt: int = 1):
-        """The :class:`repro.api.Solver` for ``k`` parts.
-
-        Registry-built partitioners implement the protocol natively;
-        prebuilt objects that predate it are wrapped in a one-shot
-        session adapter.  On retries (``attempt > 1``) prebuilt
-        partitioners are deep-copied first, so a failed attempt can
-        never leak mutated solver state into the retry — registry specs
-        already instantiate fresh per call.
-        """
-        from repro.api import as_solver
-
-        partitioner = self.build(k)
-        if self.partitioner is not None and attempt > 1:
-            partitioner = copy.deepcopy(partitioner)
-        return as_solver(partitioner)
+        """A fresh :class:`repro.api.Solver` for ``k`` parts."""
+        return get_solver(self.method, k, **self.options)
 
     def as_dict(self) -> dict:
         """Spec metadata for JSON reports."""
@@ -121,5 +79,4 @@ class SolverSpec:
                 for key, value in self.options.items()
                 if isinstance(value, (int, float, str, bool, type(None)))
             },
-            "prebuilt": self.partitioner is not None,
         }

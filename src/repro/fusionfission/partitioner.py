@@ -271,21 +271,3 @@ class FusionFissionPartitioner:
             initial=initial,
             on_improvement=on_improvement,
         )
-
-    def partition(
-        self,
-        graph: Graph,
-        seed: SeedLike = None,
-        on_improvement: Callable[[float, Partition], None] | None = None,
-    ) -> Partition:
-        """Best partition with exactly ``self.k`` parts.
-
-        .. deprecated:: 1.2
-            Thin shim over :meth:`start` — prefer the session API
-            (events, budgets, checkpointing).  Results are identical.
-        """
-        session = self.start(SolveRequest(graph=graph, k=self.k, seed=seed))
-        if on_improvement is not None:
-            session.chain_improvement(on_improvement)
-        session.run()
-        return session.partition

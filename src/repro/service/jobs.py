@@ -89,7 +89,7 @@ class JobSpec:
     @classmethod
     def from_payload(cls, payload: Any) -> "JobSpec":
         """Validate a submit body into a spec (clear errors on junk)."""
-        from repro.bench.registry import canonical_method
+        from repro.api.registry import canonical_method
 
         if not isinstance(payload, dict):
             raise ConfigurationError(

@@ -432,7 +432,7 @@ class SolveService:
 
     def _fresh_session(self, job: Job, graph: Graph):
         from repro.api import SolveRequest, get_solver
-        from repro.bench.registry import METAHEURISTICS
+        from repro.api.registry import METAHEURISTICS
 
         spec = job.spec
         options = dict(spec.options)

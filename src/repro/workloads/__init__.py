@@ -3,7 +3,7 @@
 The evaluation substrate of the reproduction: named, reproducible
 partitioning instances with metadata and frozen expected-quality bands
 (the brain-score ``data_registry`` plugin idiom, mirroring the solver
-registry in :mod:`repro.bench.registry`), plus time-varying **dynamic
+registry in :mod:`repro.api.registry`), plus time-varying **dynamic
 repartitioning** scenarios with warm-started sessions and a migration
 cost term.
 

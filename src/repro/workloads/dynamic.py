@@ -173,7 +173,7 @@ def warm_start_checkpoint(checkpoint: dict, graph: Graph) -> dict:
     :class:`~repro.common.exceptions.ConfigurationError` naming the
     supported set.
     """
-    from repro.bench.registry import canonical_method
+    from repro.api.registry import canonical_method
 
     method = canonical_method(checkpoint.get("method", ""))
     rebaser = _REBASERS.get(method)
@@ -380,7 +380,7 @@ def run_dynamic(
     """
     from repro.api import SolveRequest, get_solver
     from repro.api import resume as resume_session
-    from repro.bench.registry import canonical_method
+    from repro.api.registry import canonical_method
 
     num_epochs = instance.num_epochs if epochs is None else int(epochs)
     if not 2 <= num_epochs <= instance.num_epochs:

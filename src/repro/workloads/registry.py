@@ -1,6 +1,6 @@
 """Instance registry: canonical names → workload instances.
 
-Mirrors the method-registry idiom of :mod:`repro.bench.registry` (the
+Mirrors the method-registry idiom of :mod:`repro.api.registry` (the
 brain-score ``data_registry`` plugin pattern): instances register under a
 canonical kebab-case name plus optional aliases, lookups are
 case-insensitive, and unknown names fail with a

@@ -1,5 +1,10 @@
 """Unit tests for simulated annealing and cooling schedules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,9 +14,15 @@ from repro.annealing import (
     SimulatedAnnealingPartitioner,
     anneal,
 )
+from repro.api import SolveRequest
 from repro.common.exceptions import ConfigurationError
 from repro.graph import grid_graph, weighted_caveman_graph
 from repro.partition import McutObjective, Partition
+
+
+def _solve(sa, graph, seed):
+    request = SolveRequest(graph=graph, k=sa.k, seed=seed)
+    return sa.start(request).run().partition
 
 
 class TestSchedules:
@@ -110,19 +121,63 @@ class TestPartitionerInterface:
     def test_returns_k_parts(self):
         g = weighted_caveman_graph(4, 6)
         sa = SimulatedAnnealingPartitioner(k=4, max_steps=4000)
-        p = sa.partition(g, seed=0)
+        p = _solve(sa, g, seed=0)
         assert p.num_parts == 4
         p.check()
 
     def test_deterministic_given_seed(self):
         g = weighted_caveman_graph(3, 5)
         sa = SimulatedAnnealingPartitioner(k=3, max_steps=2000)
-        p1 = sa.partition(g, seed=7)
-        p2 = sa.partition(g, seed=7)
+        p1 = _solve(sa, g, seed=7)
+        p2 = _solve(sa, g, seed=7)
         assert np.array_equal(p1.assignment, p2.assignment)
 
     def test_any_k_allowed(self):
         # Metaheuristics handle non-power-of-two k (paper §6).
         g = grid_graph(6, 6)
-        p = SimulatedAnnealingPartitioner(k=5, max_steps=1500).partition(g, seed=0)
+        sa = SimulatedAnnealingPartitioner(k=5, max_steps=1500)
+        p = _solve(sa, g, seed=0)
         assert p.num_parts == 5
+
+
+#: Runs one unbudgeted SA session in a child process (argv: case id)
+#: and prints the partition's part count.
+_UNBUDGETED = """
+import sys
+from repro.api import SolveRequest, get_solver
+from repro.graph import Graph, weighted_caveman_graph
+disconnected = Graph.from_edges(10, [
+    (0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+    (3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0),
+    (7, 8, 1.0), (8, 9, 1.0),
+])
+graph, k = {
+    "k1": (weighted_caveman_graph(3, 4), 1),
+    "k-equals-n": (weighted_caveman_graph(3, 4), 12),
+    "edgeless": (Graph.from_edges(8, []), 3),
+    "disconnected-zero-cut": (disconnected, 3),
+}[sys.argv[1]]
+session = get_solver("simulated-annealing", k).start(
+    SolveRequest(graph=graph, k=k, seed=0))
+print(session.run().partition.num_parts, k)
+"""
+
+
+class TestTermination:
+    """Without max_steps or time_budget only cooling ends a run, and
+    cooling needs refused moves; these inputs reach states whose steps
+    never refuse, and the run must still end."""
+
+    @pytest.mark.parametrize("case", [
+        "k1", "k-equals-n", "edgeless", "disconnected-zero-cut",
+    ])
+    def test_unbudgeted_run_terminates(self, case):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNBUDGETED, case],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        num_parts, k = proc.stdout.split()
+        assert num_parts == k

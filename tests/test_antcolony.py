@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from repro.antcolony import AntColonyPartitioner, PheromoneField, ant_colony_search
+from repro.api import SolveRequest
 from repro.common.exceptions import ConfigurationError
 from repro.graph import Graph, grid_graph, path_graph, weighted_caveman_graph
 from repro.partition import Partition
+
+
+def _solve(ac, graph, seed):
+    request = SolveRequest(graph=graph, k=ac.k, seed=seed)
+    return ac.start(request).run().partition
 
 
 class TestPheromoneField:
@@ -104,13 +110,13 @@ class TestSearch:
 class TestPartitionerInterface:
     def test_returns_k_parts(self):
         g = weighted_caveman_graph(4, 5)
-        p = AntColonyPartitioner(k=4, iterations=40).partition(g, seed=0)
+        p = _solve(AntColonyPartitioner(k=4, iterations=40), g, seed=0)
         assert p.num_parts == 4
         p.check()
 
     def test_deterministic_given_seed(self):
         g = weighted_caveman_graph(3, 5)
         ac = AntColonyPartitioner(k=3, iterations=25)
-        p1 = ac.partition(g, seed=11)
-        p2 = ac.partition(g, seed=11)
+        p1 = _solve(ac, g, seed=11)
+        p2 = _solve(ac, g, seed=11)
         assert np.array_equal(p1.assignment, p2.assignment)

@@ -13,7 +13,6 @@ from repro.api import (
     Budget,
     JsonlEventWriter,
     SolveRequest,
-    as_solver,
     decode_rng,
     encode_rng,
     get_solver,
@@ -43,6 +42,26 @@ def _request(graph, seed=0, **kwargs):
     return SolveRequest(graph=graph, k=4, seed=seed, **kwargs)
 
 
+def _direct_entry(method, solver, graph, seed):
+    """The partition a family's own entry point returns: the one-shot
+    construction, or the iterative family's kernel."""
+    from repro.annealing import anneal
+    from repro.antcolony import ant_colony_search
+    from repro.percolation.percolation import PercolationPartitioner
+
+    if method == "simulated-annealing":
+        rng = np.random.default_rng(seed)
+        start = PercolationPartitioner(k=4).partition(graph, seed=rng)
+        return anneal(start, max_steps=solver.max_steps, seed=rng)[0]
+    if method == "ant-colony":
+        return ant_colony_search(
+            graph, 4, iterations=solver.iterations, seed=seed
+        )[0]
+    if method == "fusion-fission":
+        return solver.search(graph, seed=seed).best_at_target
+    return solver.partition(graph, seed=seed)
+
+
 class TestProtocolConformance:
     @pytest.mark.parametrize("method", sorted(FAMILY_OPTIONS))
     def test_start_run_report(self, graph, method):
@@ -60,24 +79,14 @@ class TestProtocolConformance:
 
     @pytest.mark.parametrize("method", sorted(FAMILY_OPTIONS))
     def test_shim_equals_session(self, graph, method):
-        """Acceptance: partition(graph, seed) == SolveSession.run()."""
-        shim = get_solver(method, 4, **FAMILY_OPTIONS[method])
-        old = shim.partition(graph, seed=42)
-        fresh = get_solver(method, 4, **FAMILY_OPTIONS[method])
-        report = fresh.start(_request(graph, seed=42)).run()
-        assert np.array_equal(old.assignment, report.partition.assignment)
-
-    def test_as_solver_wraps_legacy_objects(self, graph):
-        class Bare:
-            def partition(self, graph, seed=None):
-                from repro.percolation.percolation import PercolationPartitioner
-
-                return PercolationPartitioner(k=4).partition(graph, seed=seed)
-
-        report = as_solver(Bare()).start(_request(graph, seed=1)).run()
-        assert report.partition.num_parts == 4
-        with pytest.raises(TypeError):
-            as_solver(object())
+        """Acceptance: the session is a thin shim over each family's own
+        entry point — the one-shot ``partition(graph, seed)``
+        construction, or the iterative kernel (``anneal``,
+        ``ant_colony_search``, ``search``) — and returns its partition."""
+        solver = get_solver(method, 4, **FAMILY_OPTIONS[method])
+        direct = _direct_entry(method, solver, graph, 42)
+        report = solver.start(_request(graph, seed=42)).run()
+        assert np.array_equal(direct.assignment, report.partition.assignment)
 
     def test_solve_facade(self, graph):
         report = solve(graph, 4, method="ml", seed=0)
@@ -297,7 +306,7 @@ class TestRequestValidation:
 
 class TestRegistryErrorUX:
     def test_unknown_method_lists_methods_and_aliases(self):
-        from repro.bench.registry import canonical_method
+        from repro.api.registry import canonical_method
 
         with pytest.raises(ConfigurationError) as err:
             canonical_method("quantum-annealer")
@@ -307,17 +316,11 @@ class TestRegistryErrorUX:
         assert "ff" in message
 
     def test_close_match_suggestion(self):
-        from repro.bench.registry import canonical_method
+        from repro.api.registry import canonical_method
 
         with pytest.raises(ConfigurationError) as err:
             canonical_method("fusionfissio")
         assert "did you mean" in str(err.value)
-
-    def test_make_solver_alias(self, graph):
-        from repro.bench.registry import make_solver
-
-        solver = make_solver("ml", 4)
-        assert solver.start(_request(graph)).run().status == "done"
 
 
 class TestEngineTelemetry:
@@ -350,12 +353,19 @@ class TestSolveCli:
         return main([str(a) for a in argv])
 
     def test_solve_matches_partition(self, graph_file, tmp_path, capsys):
+        """`repro solve` writes the partition the library session
+        returns for the same method, k and seed."""
         out_solve = tmp_path / "solve.txt"
-        out_part = tmp_path / "part.txt"
         base = [graph_file, "-k", 4, "--method", "multilevel", "--seed", 7]
         assert self._main(["solve", *base, "-o", out_solve]) == 0
-        assert self._main(["partition", *base, "-o", out_part]) == 0
-        assert out_solve.read_text() == out_part.read_text()
+        from repro.cli import read_graph_auto
+
+        graph = read_graph_auto(graph_file)
+        report = get_solver("multilevel", 4).start(
+            SolveRequest(graph=graph, k=4, seed=7)
+        ).run()
+        written = [int(x) for x in out_solve.read_text().split()]
+        assert written == [int(p) for p in report.assignment]
 
     def test_solve_streams_events_and_checkpoints(
         self, graph_file, tmp_path, capsys

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.api import get_solver
 from repro.bench import (
     MethodResult,
     format_table,
-    make_partitioner,
     run_method,
     run_suite,
     table1_methods,
 )
 from repro.bench.figure1 import QualityTrace
 from repro.common.exceptions import ConfigurationError
+from repro.engine import SolverSpec
 from repro.graph import weighted_caveman_graph
 
 
@@ -22,15 +23,15 @@ class TestRegistry:
             "linear", "spectral", "multilevel", "percolation",
             "simulated-annealing", "ant-colony", "fusion-fission",
         ):
-            partitioner = make_partitioner(name, 4)
-            assert hasattr(partitioner, "partition")
+            solver = get_solver(name, 4)
+            assert hasattr(solver, "start")
 
     def test_unknown_method(self):
         with pytest.raises(ConfigurationError):
-            make_partitioner("quantum-annealer", 4)
+            get_solver("quantum-annealer", 4)
 
     def test_table1_has_17_rows(self):
-        rows = table1_methods(k=32)
+        rows = table1_methods()
         assert len(rows) == 17
         labels = [r[0] for r in rows]
         assert labels[0] == "Linear (Bi)"
@@ -42,7 +43,7 @@ class TestRegistry:
 class TestHarness:
     def test_run_method(self):
         g = weighted_caveman_graph(4, 6)
-        r = run_method("ml", make_partitioner("multilevel", 4), g, seed=0)
+        r = run_method("ml", get_solver("multilevel", 4), g, seed=0)
         assert isinstance(r, MethodResult)
         assert r.num_parts == 4
         assert r.cut == pytest.approx(2 * 4.0)  # planted: 4 cut edges
@@ -51,10 +52,10 @@ class TestHarness:
     def test_run_suite_and_format(self):
         g = weighted_caveman_graph(4, 6)
         methods = [
-            ("linear", make_partitioner("linear", 4)),
-            ("percolation", make_partitioner("percolation", 4)),
+            ("linear", SolverSpec("linear")),
+            ("percolation", SolverSpec("percolation")),
         ]
-        results = run_suite(methods, g, seed=1)
+        results = run_suite(methods, g, 4, seed=1)
         assert len(results) == 2
         table = format_table(results, title="t")
         assert "linear" in table
@@ -88,9 +89,9 @@ class TestIntegrationSmall:
 
     def test_suite_runs_on_caveman(self):
         g = weighted_caveman_graph(4, 8)
-        methods = table1_methods(k=4, metaheuristic_budget=2.0)
+        methods = table1_methods(metaheuristic_budget=2.0)
         # Trim the metaheuristics' step budgets so the test stays fast.
-        results = run_suite(methods, g, seed=0)
+        results = run_suite(methods, g, 4, seed=0)
         assert len(results) == 17
         for r in results:
             assert r.num_parts == 4

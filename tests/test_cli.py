@@ -52,10 +52,13 @@ class TestTopLevel:
 
 
 class TestPartitionCommand:
+    """Partitioning a graph file: `repro solve` runs one method once,
+    `repro portfolio` runs seeded restarts and keeps the best."""
+
     def test_writes_assignment(self, graph_file, tmp_path, capsys):
         out = tmp_path / "parts.txt"
         code = main([
-            "partition", str(graph_file), "-k", "4",
+            "solve", str(graph_file), "-k", "4",
             "--method", "multilevel", "--seed", "1", "-o", str(out),
         ])
         assert code == 0
@@ -66,7 +69,7 @@ class TestPartitionCommand:
 
     def test_stdout_mode(self, graph_file, capsys):
         code = main([
-            "partition", str(graph_file), "-k", "2", "--method", "spectral",
+            "solve", str(graph_file), "-k", "2", "--method", "spectral",
         ])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -75,8 +78,8 @@ class TestPartitionCommand:
     def test_metaheuristic_with_budget(self, graph_file, tmp_path):
         out = tmp_path / "p.txt"
         code = main([
-            "partition", str(graph_file), "-k", "3",
-            "--method", "fusion-fission", "--budget", "2", "-o", str(out),
+            "solve", str(graph_file), "-k", "3",
+            "--method", "fusion-fission", "--budget", "2s", "-o", str(out),
         ])
         assert code == 0
         assert len(out.read_text().split()) == 36
@@ -84,7 +87,7 @@ class TestPartitionCommand:
     def test_method_alias(self, graph_file, tmp_path):
         out = tmp_path / "p.txt"
         code = main([
-            "partition", str(graph_file), "-k", "4", "--method", "ml",
+            "solve", str(graph_file), "-k", "4", "--method", "ml",
             "-o", str(out),
         ])
         assert code == 0
@@ -93,15 +96,15 @@ class TestPartitionCommand:
     def test_multi_seed_parallel_restarts(self, graph_file, tmp_path, capsys):
         out = tmp_path / "p.txt"
         code = main([
-            "partition", str(graph_file), "-k", "3",
-            "--method", "annealing", "--budget", "1",
+            "portfolio", str(graph_file), "-k", "3",
+            "--methods", "annealing", "--budget", "1",
             "--seeds", "2", "--jobs", "2", "-o", str(out),
         ])
         assert code == 0
         assert len(out.read_text().split()) == 36
-        err = capsys.readouterr().err
-        assert "best of 2 runs" in err
-        assert "mcut=" in err
+        captured = capsys.readouterr()
+        assert "best:" in captured.out
+        assert "mcut=" in captured.err
 
 
 class TestEvaluateCommand:

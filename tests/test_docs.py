@@ -49,7 +49,7 @@ class TestDocs:
                 obj = getattr(obj, attr)
 
     def test_readme_method_table_matches_registry(self):
-        from repro.bench.registry import METHOD_FACTORIES
+        from repro.api.registry import METHOD_FACTORIES
 
         text = (REPO_ROOT / "README.md").read_text()
         for name in METHOD_FACTORIES:

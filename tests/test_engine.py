@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.bench.registry import canonical_method
+from repro.api import SolveRequest
+from repro.api.registry import canonical_method
 from repro.cli import main
 from repro.common.exceptions import ConfigurationError
 from repro.engine import (
     REPORT_SCHEMA,
+    FaultInjector,
     PartitionProblem,
     PortfolioRunner,
     SolverSpec,
@@ -21,17 +23,6 @@ from repro.graph import grid_graph, weighted_caveman_graph
 @pytest.fixture
 def problem():
     return PartitionProblem(weighted_caveman_graph(4, 6), k=4)
-
-
-class _CrashingPartitioner:
-    """Kills its worker process outright (simulates an OOM kill)."""
-
-    name = "crash"
-
-    def partition(self, graph, seed=None):
-        import os
-
-        os._exit(1)
 
 
 FAST_SPECS = [
@@ -95,14 +86,6 @@ class TestSolverSpec:
                                      time_budget=1.0)
         assert spec.options == {}
 
-    def test_from_partitioner_is_prebuilt(self):
-        from repro.multilevel.partitioner import MultilevelPartitioner
-
-        ml = MultilevelPartitioner(k=4)
-        spec = SolverSpec.from_partitioner("Multilevel (Bi)", ml)
-        assert spec.build(99) is ml
-        assert spec.label == "Multilevel (Bi)"
-
 
 class TestRunnerDeterminism:
     def test_same_seed_same_results(self, problem):
@@ -161,8 +144,9 @@ class TestPoolEquivalence:
         result = runner.run(problem)
         singles = []
         for task in runner.make_tasks(problem):
-            partitioner = task.spec.build(problem.k)
-            partition = partitioner.partition(problem.graph, seed=task.seed)
+            solver = task.spec.build(problem.k)
+            request = SolveRequest(problem.graph, problem.k, seed=task.seed)
+            partition = solver.start(request).run().partition
             singles.append(problem.score(partition))
         assert result.best.objective <= min(singles) + 1e-12
 
@@ -184,11 +168,13 @@ class TestFailuresAndDeadline:
         assert result.best.method == "multilevel"
 
     def test_dead_worker_becomes_error_record(self, problem):
-        # os._exit skips execute_task's isolation, killing the worker
-        # outright; the runner must turn the resulting BrokenProcessPool
-        # into error records instead of raising.
-        specs = [SolverSpec.from_partitioner("crash", _CrashingPartitioner())]
-        result = PortfolioRunner(specs, num_seeds=2, jobs=2, seed=0).run(problem)
+        # An injected crash os._exit()s the worker, skipping
+        # execute_task's isolation; the runner must turn the resulting
+        # BrokenProcessPool into error records instead of raising.
+        result = PortfolioRunner(
+            [SolverSpec("multilevel")], num_seeds=2, jobs=2, seed=0,
+            faults=FaultInjector.parse("crash@0,*,*"),
+        ).run(problem)
         assert len(result.records) == 2
         assert all(not r.ok for r in result.records)
         assert all(r.error for r in result.records)
@@ -291,29 +277,29 @@ class TestAggregation:
 
 class TestHarnessOnEngine:
     def test_run_suite_jobs_equivalence(self):
-        from repro.bench import make_partitioner, run_suite
+        from repro.bench import run_suite
 
         g = weighted_caveman_graph(4, 6)
         methods = [
-            ("ml", make_partitioner("multilevel", 4)),
-            ("perc", make_partitioner("percolation", 4)),
+            ("ml", SolverSpec("multilevel")),
+            ("perc", SolverSpec("percolation")),
         ]
-        sequential = run_suite(methods, g, seed=3)
-        pooled = run_suite(methods, g, seed=3, jobs=2)
+        sequential = run_suite(methods, g, 4, seed=3)
+        pooled = run_suite(methods, g, 4, seed=3, jobs=2)
         assert [r.label for r in sequential] == [r.label for r in pooled]
         for a, b in zip(sequential, pooled):
             assert a.cut == b.cut
             assert a.mcut == pytest.approx(b.mcut)
 
     def test_run_suite_raises_on_method_failure(self):
-        from repro.bench import make_partitioner, run_suite
+        from repro.bench import run_suite
 
         from repro.common.exceptions import ReproError
 
         g = weighted_caveman_graph(3, 5)
-        methods = [("spectral", make_partitioner("spectral", 3))]  # k != 2^n
+        methods = [("spectral", SolverSpec("spectral"))]  # k != 2^n
         with pytest.raises(ReproError, match="spectral"):
-            run_suite(methods, g, seed=0)
+            run_suite(methods, g, 3, seed=0)
 
 
 class TestPortfolioCli:

@@ -328,10 +328,9 @@ class TestReportSchemaV3:
 
 class TestHeartbeats:
     def test_session_emits_heartbeats(self):
-        from repro.api import EVENT_HEARTBEAT, SolveRequest
-        from repro.bench.registry import make_partitioner
+        from repro.api import EVENT_HEARTBEAT, SolveRequest, get_solver
 
-        solver = make_partitioner("fusion-fission", 2, max_steps=200)
+        solver = get_solver("fusion-fission", 2, max_steps=200)
         request = SolveRequest(
             graph=grid_graph(4, 4), k=2, seed=0, heartbeat_interval=1e-9
         )
@@ -342,10 +341,9 @@ class TestHeartbeats:
         assert any(e.type == EVENT_HEARTBEAT for e in events)
 
     def test_heartbeats_disabled(self):
-        from repro.api import EVENT_HEARTBEAT, SolveRequest
-        from repro.bench.registry import make_partitioner
+        from repro.api import EVENT_HEARTBEAT, SolveRequest, get_solver
 
-        solver = make_partitioner("fusion-fission", 2, max_steps=200)
+        solver = get_solver("fusion-fission", 2, max_steps=200)
         request = SolveRequest(
             graph=grid_graph(4, 4), k=2, seed=0, heartbeat_interval=None
         )

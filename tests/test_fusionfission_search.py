@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import EVENT_INCUMBENT, SolveRequest
 from repro.common.exceptions import ConfigurationError
 from repro.fusionfission import (
     FusionFissionPartitioner,
@@ -13,6 +14,14 @@ from repro.fusionfission import (
 )
 from repro.graph import grid_graph, weighted_caveman_graph
 from repro.partition import McutObjective
+
+
+def _session(ff, graph, seed):
+    return ff.start(SolveRequest(graph=graph, k=ff.k, seed=seed))
+
+
+def _solve(ff, graph, seed):
+    return _session(ff, graph, seed).run().partition
 
 
 class TestInitialization:
@@ -107,7 +116,7 @@ class TestPartitionerApi:
     def test_finds_caveman_optimum(self):
         g = weighted_caveman_graph(5, 6)
         ff = FusionFissionPartitioner(k=5, max_steps=3000)
-        p = ff.partition(g, seed=0)
+        p = _solve(ff, g, seed=0)
         assert p.num_parts == 5
         assert McutObjective().value(p) <= 0.2  # near-planted quality
         p.check()
@@ -115,13 +124,13 @@ class TestPartitionerApi:
     def test_deterministic_given_seed(self):
         g = weighted_caveman_graph(3, 5)
         ff = FusionFissionPartitioner(k=3, max_steps=400)
-        p1 = ff.partition(g, seed=9)
-        p2 = ff.partition(g, seed=9)
+        p1 = _solve(ff, g, seed=9)
+        p2 = _solve(ff, g, seed=9)
         assert np.array_equal(p1.assignment, p2.assignment)
 
     def test_non_power_of_two_k(self):
         g = grid_graph(6, 6)
-        p = FusionFissionPartitioner(k=5, max_steps=500).partition(g, seed=0)
+        p = _solve(FusionFissionPartitioner(k=5, max_steps=500), g, seed=0)
         assert p.num_parts == 5
 
     def test_search_exposes_multi_k(self):
@@ -133,28 +142,31 @@ class TestPartitionerApi:
     def test_ablation_no_scaling(self):
         g = weighted_caveman_graph(4, 5)
         ff = FusionFissionPartitioner(k=4, max_steps=400, scale_energy=False)
-        p = ff.partition(g, seed=1)
+        p = _solve(ff, g, seed=1)
         assert p.num_parts == 4
 
     def test_ablation_no_learning(self):
         g = weighted_caveman_graph(4, 5)
         ff = FusionFissionPartitioner(k=4, max_steps=400, learn_laws=False)
-        p = ff.partition(g, seed=1)
+        p = _solve(ff, g, seed=1)
         assert p.num_parts == 4
 
     def test_objective_selectable(self):
         g = weighted_caveman_graph(3, 5)
         for obj in ("cut", "ncut", "mcut"):
-            p = FusionFissionPartitioner(
+            p = _solve(FusionFissionPartitioner(
                 k=3, objective=obj, max_steps=300
-            ).partition(g, seed=0)
+            ), g, seed=0)
             assert p.num_parts == 3
 
     def test_callback_monotone_raw_objective(self):
         g = weighted_caveman_graph(4, 6)
         seen = []
-        FusionFissionPartitioner(k=4, max_steps=800).partition(
-            g, seed=3, on_improvement=lambda raw, p: seen.append(raw)
+        session = _session(FusionFissionPartitioner(k=4, max_steps=800), g, 3)
+        session.subscribe(
+            lambda e: seen.append(e.objective)
+            if e.type == EVENT_INCUMBENT else None
         )
+        session.run()
         assert seen == sorted(seen, reverse=True)
         assert len(seen) >= 1

@@ -19,8 +19,14 @@ from repro import (
     SpectralPartitioner,
     evaluate_partition,
 )
+from repro.api import SolveRequest
 from repro.graph import weighted_caveman_graph
 from repro.atc import core_area_network, build_blocks
+
+
+def _solve(solver, graph, seed):
+    request = SolveRequest(graph=graph, k=solver.k, seed=seed)
+    return solver.start(request).run().partition
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +50,17 @@ class TestMethodRankingOnPlanted:
         assert p.edge_cut() == pytest.approx(self.OPTIMAL_EDGE_CUT)
 
     def test_fusion_fission_finds_optimum(self, planted):
-        p = FusionFissionPartitioner(k=8, max_steps=6000).partition(planted, seed=0)
+        p = _solve(FusionFissionPartitioner(k=8, max_steps=6000), planted, 0)
         assert p.edge_cut() == pytest.approx(self.OPTIMAL_EDGE_CUT)
 
     def test_sa_finds_optimum(self, planted):
-        p = SimulatedAnnealingPartitioner(
+        p = _solve(SimulatedAnnealingPartitioner(
             k=8, tmax=2.0, max_steps=60000
-        ).partition(planted, seed=0)
+        ), planted, seed=0)
         assert p.edge_cut() == pytest.approx(self.OPTIMAL_EDGE_CUT)
 
     def test_ant_colony_near_optimum(self, planted):
-        p = AntColonyPartitioner(k=8, iterations=120).partition(planted, seed=0)
+        p = _solve(AntColonyPartitioner(k=8, iterations=120), planted, 0)
         assert p.edge_cut() <= 2 * self.OPTIMAL_EDGE_CUT
 
     def test_linear_far_from_optimum(self, planted):
@@ -91,10 +97,9 @@ class TestSharedInitialisation:
 
         start = PercolationPartitioner(k=8).partition(planted, seed=5)
         start_mcut = McutObjective().value(start)
-        sa = SimulatedAnnealingPartitioner(k=8, max_steps=5000).partition(
-            planted, seed=5
-        )
-        ac = AntColonyPartitioner(k=8, iterations=40).partition(planted, seed=5)
+        sa = _solve(SimulatedAnnealingPartitioner(k=8, max_steps=5000),
+                    planted, seed=5)
+        ac = _solve(AntColonyPartitioner(k=8, iterations=40), planted, 5)
         assert McutObjective().value(sa) <= start_mcut + 1e-9
         assert McutObjective().value(ac) <= start_mcut + 1e-9
 
@@ -114,7 +119,7 @@ class TestFusionFissionVsFixedK:
         from repro.partition import McutObjective
 
         perc = PercolationPartitioner(k=8).partition(planted, seed=2)
-        ff = FusionFissionPartitioner(k=8, max_steps=12000).partition(planted, seed=0)
+        ff = _solve(FusionFissionPartitioner(k=8, max_steps=12000), planted, 0)
         assert McutObjective().value(ff) <= McutObjective().value(perc) * 1.05 + 1e-9
 
 
