@@ -24,6 +24,12 @@ Benchmarks
   multilevel level (no reference; absolute throughput).
 * ``ff_step``         — fusion–fission main-loop steps/second on a
   community graph (no reference; absolute throughput).
+* ``percolation_bonds`` — the §4.4 flood on ``atc-core`` (a whole-graph
+  flood from 1, 2 and k centres, then a 1- and a 2-centre flood inside
+  each of the k atoms, as fission cuts them) with the CSR-row
+  ``reduceat`` sweep vs the frozen ``maximum.at`` scatter
+  (:mod:`repro.percolation.reference`).  Verification is bitwise
+  (int64 views), so the row fails on any difference, ``-0.0`` included.
 * ``ff_initialize``   — Algorithm-2 molecule initialisation with the
   vectorized matched-prelude cascade vs the exact O(n²)-ish law loop
   (the hot spot PR 4 left behind).  Verification checks both cascades
@@ -338,6 +344,47 @@ def _bench_ff_step(n: int, k: int, reps) -> PerfRecord:
     )
 
 
+def _bench_percolation_bonds(k: int, reps) -> PerfRecord:
+    from repro.percolation.percolation import (
+        choose_spread_centers,
+        percolation_bonds,
+        percolation_partition,
+    )
+    from repro.percolation.reference import percolation_bonds_reference
+    from repro.workloads import build_instance
+
+    graph = build_instance("atc-core")
+    centers = choose_spread_centers(graph, k, seed=0)
+    colors = percolation_partition(graph, centers).assignment
+    calls = [(centers[:1], None), (centers[:2], None), (centers, None)]
+    for part in range(k):
+        mask = colors == part
+        atom = np.flatnonzero(mask)
+        calls += [(atom[:1], mask), (np.unique(atom[[0, -1]]), mask)]
+
+    def run(fn):
+        return [fn(graph, c, mask=m) for c, m in calls]
+
+    matches = all(
+        a.shape == b.shape
+        and np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(run(percolation_bonds),
+                        run(percolation_bonds_reference))
+    )
+    sec = _best_of(lambda: run(percolation_bonds), reps)
+    ref = _best_of(lambda: run(percolation_bonds_reference), reps)
+    return PerfRecord(
+        name="percolation_bonds",
+        n=graph.num_vertices, m=graph.num_edges, k=k, reps=reps,
+        seconds=sec, ops_per_second=len(calls) / sec,
+        unit="floods/s",
+        reference_seconds=ref, speedup=ref / sec,
+        matches_reference=matches,
+        notes=f"atc-core: 3 whole-graph + {len(calls) - 3} masked floods, "
+              "bitwise check",
+    )
+
+
 def _bench_ff_initialize(graph: Graph, k: int, reps) -> PerfRecord:
     from repro.fusionfission.core import initialize_molecule
     from repro.fusionfission.energy import ScaledEnergy
@@ -526,6 +573,7 @@ def run_perf_suite(
         _bench_objective_delta(graph, assignment, k, reps, "cut"),
         _bench_coarsen_level(graph, reps),
         _bench_ff_step(n, k, reps),
+        _bench_percolation_bonds(k, reps),
         _bench_ff_initialize(graph, k, reps),
         *_bench_graph_transport(ship_n, seed, reps),
         *_bench_island_scaling(n, reps),

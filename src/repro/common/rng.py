@@ -1,6 +1,7 @@
 """Random-number-generator plumbing.
 
-The repository-wide convention (see DESIGN.md §7) is that stochastic code
+The repository-wide convention (see "Seeds and random streams" in
+``docs/architecture.md``) is that stochastic code
 never calls ``np.random`` module-level functions.  Instead each public entry
 point takes ``seed: int | np.random.Generator | None`` and normalises it with
 :func:`ensure_rng`; nested components receive independent child generators via

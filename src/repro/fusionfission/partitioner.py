@@ -3,10 +3,9 @@
 :class:`FusionFissionPartitioner` exposes the paper's five parameters
 (``tmax``, ``tmin``, ``nbt``, and the ``k``/``r`` constants of α(t), here
 ``alpha_slope``/``alpha_offset``) plus engineering knobs (step/time budget,
-objective, law learning rate).  Ablation switches — turning off the
-binding-energy scaling, law learning, restarts, or percolation-based
-fission — are provided for the design-choice benchmarks listed in
-DESIGN.md.
+objective, law learning rate).  Two ablation switches turn off the
+binding-energy scaling (``scale_energy``) and law learning
+(``learn_laws``); the §4 table of ``docs/paper_mapping.md`` lists them.
 """
 
 from __future__ import annotations

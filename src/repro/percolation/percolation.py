@@ -61,8 +61,14 @@ def percolation_bonds(
         neither receive nor transmit liquid (used when cutting a single
         atom during fission).
     max_sweeps:
-        Bellman–Ford sweep cap (the half-per-hop discount converges
-        geometrically; ~40 sweeps reach 1e-12).
+        Bellman–Ford sweep cap.  Liquid advances one hop per sweep and
+        the half-per-hop discount then converges geometrically: whole-
+        graph floods take 67–83 sweeps (mean 76) on ``atc-core`` and
+        79–100 (mean 96) on ``grid-64``.  A flood that hits the cap stops
+        where it is, so vertices more than ``max_sweeps`` hops from every
+        centre stay unreached (bond 0): 12 of the 18 whole-graph floods
+        of a seeded SA and ant-colony start on ``grid-64`` at k = 8 stop
+        there (see the §4.4 row of ``docs/paper_mapping.md``).
     tolerance:
         Convergence threshold on bond changes.
 
@@ -82,7 +88,13 @@ def percolation_bonds(
     *decrease* with hop distance on uniform-weight graphs — the behaviour
     the step-by-step flood in the paper exhibits — while preserving the
     trade-off that lets a strong flow corridor out-bond a nearby weak
-    centre.  The interpretation is recorded in DESIGN.md.
+    centre.  The interpretation is recorded in the §4.4 row of
+    ``docs/paper_mapping.md``.
+
+    Each sweep is a Jacobi update of every entry from the previous
+    sweep's bonds.  The result is bit-identical to the ``maximum.at``
+    scatter kept in :mod:`repro.percolation.reference`, for any finite
+    non-negative weights (``docs/performance.md``, "Percolation flood").
     """
     n = graph.num_vertices
     centers = np.asarray(centers, dtype=np.int64)
@@ -97,34 +109,54 @@ def percolation_bonds(
 
     w_max = float(graph.weights.max()) if graph.weights.size else 1.0
     anchor = 2.0 * max(w_max, 1e-12)
+    # Flood the subgraph induced by the mask in local ids 0..nl-1, plus a
+    # sentinel row ``nl`` that stays at -inf.  The arcs are regrouped by
+    # destination, so each sweep's push of (bond[src] + w) / 2 along every
+    # arc becomes one gather and one per-row max (``reduceat``).  Max is
+    # exact, so the order within a row does not matter, and halving is
+    # exact and monotone, so it is applied after the max, per row.  Rows
+    # without an incoming arc get one from the sentinel, so no segment is
+    # empty.
+    local = np.flatnonzero(allowed)
+    nl = local.shape[0]
+    local_id = np.cumsum(allowed) - 1
+    src, nbrs, wts = graph.neighbors_many(local)
+    inside = allowed[nbrs]
+    dst = local_id[nbrs[inside]]
+    counts = np.bincount(dst, minlength=nl + 1)
+    pad = np.flatnonzero(counts == 0)
+    order = np.argsort(np.concatenate([dst, pad]), kind="stable")
+    src = np.concatenate([src[inside], np.full(pad.shape[0], nl)])[order]
+    wt = np.concatenate([wts[inside], np.zeros(pad.shape[0])])[order]
+    wt = np.repeat(wt[:, None], k, axis=1)
+    starts = np.zeros(nl + 1, dtype=np.int64)
+    np.cumsum(np.maximum(counts, 1)[:-1], out=starts[1:])
     # -inf marks "liquid not yet arrived"; it propagates harmlessly through
     # the (b + w)/2 update, so bonds only ever flow outward from centres.
-    bonds = np.full((n, k), -np.inf)
-    bonds[centers, np.arange(k)] = anchor
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    valid_arc = allowed[owner] & allowed[graph.indices]
-    src = owner[valid_arc]
-    dst = graph.indices[valid_arc]
-    wt = graph.weights[valid_arc]
-    for _ in range(max_sweeps):
-        # candidate[dst] = (bonds[src] + w) / 2, maximised per dst.
-        candidate = (bonds[src] + wt[:, None]) * 0.5
-        new_bonds = bonds.copy()
-        np.maximum.at(new_bonds, dst, candidate)
-        # Centres keep their anchor bond to their own colour regardless.
-        new_bonds[centers, np.arange(k)] = anchor
-        old_finite = np.isfinite(bonds)
-        if not (np.isfinite(new_bonds) & ~old_finite).any():
-            delta = np.where(old_finite, new_bonds, 0.0) - np.where(
-                old_finite, bonds, 0.0
-            )
-            if float(np.abs(delta).max(initial=0.0)) <= tolerance:
-                bonds = new_bonds
+    # Centres keep their anchor: every candidate is at most
+    # (anchor + w_max) / 2 < anchor, and the max never lowers an entry.
+    bonds = np.full((nl + 1, k), -np.inf)
+    bonds[local_id[centers], np.arange(k)] = anchor
+    candidate = np.empty_like(wt)
+    # Since new >= old entrywise, one fmax over (new - old) decides both
+    # halves of the stop rule: a newly reached entry gives +inf (go on),
+    # an entry still at -inf gives nan (ignored), and otherwise it is the
+    # largest change on the entries already reached.
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_sweeps):
+            np.take(bonds, src, axis=0, out=candidate)
+            candidate += wt
+            new_bonds = np.maximum.reduceat(candidate, starts, axis=0)
+            new_bonds *= 0.5
+            np.maximum(new_bonds, bonds, out=new_bonds)
+            change = np.fmax.reduce(new_bonds - bonds, axis=None)
+            bonds = new_bonds
+            if change <= tolerance and change != np.inf:
                 break
-        bonds = new_bonds
-    bonds = np.where(np.isfinite(bonds), bonds, 0.0)
-    bonds[~allowed] = 0.0
-    return bonds
+    out = np.zeros((n, k))
+    flooded = bonds[:nl]
+    out[local] = np.where(np.isfinite(flooded), flooded, 0.0)
+    return out
 
 
 def _color_from_bonds(

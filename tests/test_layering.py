@@ -64,6 +64,24 @@ def test_only_bench_and_cli_import_bench():
     )
 
 
+def test_frozen_references_stay_off_solve_paths():
+    """``*.reference`` modules exist for tests and ``repro bench perf``;
+    no solver, session, engine or service code may import them."""
+    offenders = []
+    for path in _modules():
+        if path.relative_to(PACKAGE).as_posix().startswith("bench/"):
+            continue
+        refs = [
+            name for name in _imported_modules(path)
+            if name.startswith("repro.") and name.endswith(".reference")
+        ]
+        if refs:
+            offenders.append(f"{path.relative_to(SRC)}: {sorted(refs)}")
+    assert not offenders, "modules importing a reference:\n" + "\n".join(
+        offenders
+    )
+
+
 def test_removed_entry_points_stay_removed():
     pattern = re.compile(r"\b(" + "|".join(REMOVED_NAMES) + r")\b")
     hits = []

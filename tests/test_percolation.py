@@ -12,6 +12,7 @@ from repro.percolation import (
     percolation_bonds,
     percolation_partition,
 )
+from repro.percolation.reference import percolation_bonds_reference
 
 
 class TestBonds:
@@ -145,3 +146,128 @@ class TestSpreadCenters:
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigurationError):
             choose_spread_centers(path_graph(5), 9)
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit patterns (so ``-0.0`` vs ``0.0`` counts as a mismatch)."""
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+def _fuzz_graph(rng: np.random.Generator) -> Graph:
+    """A tiny graph: maybe disconnected, with isolated vertices, a weight
+    mix of unit, integer, zero and arbitrary float weights, and sometimes
+    slightly asymmetric arc weights."""
+    n = int(rng.integers(1, 13))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.6)
+    kind = rng.integers(4)
+    edges = []
+    for u, v in (p for p, kept in zip(pairs, keep) if kept):
+        if kind == 0:
+            w = 1.0
+        elif kind == 1:
+            w = float(rng.integers(0, 4))
+        elif kind == 2:
+            w = float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
+        else:
+            w = float(rng.exponential(2.0))
+        edges.append((u, v, w))
+    g = Graph.from_edges(n, edges)
+    if rng.random() < 0.25:
+        # Arc weights that differ from their reverse arc in the last
+        # bits still pass validation; the flood must not assume w(u, v)
+        # == w(v, u) bit for bit.
+        weights = g.weights.copy()
+        upper = g.arc_owners() < g.indices
+        weights[upper] = np.nextafter(weights[upper], np.inf)
+        g = Graph(g.indptr, g.indices, weights)
+    return g
+
+
+class TestReferenceParity:
+    """The reduceat flood against the frozen ``maximum.at`` reference."""
+
+    def test_seeded_fuzz_is_bit_identical(self):
+        rng = np.random.default_rng(20061)
+        for case in range(1500):
+            g = _fuzz_graph(rng)
+            n = g.num_vertices
+            k = int(rng.integers(1, n + 1))
+            centers = rng.choice(n, k, replace=False)
+            mask = None
+            if rng.random() < 0.5:
+                # A random atom containing the centres: it may split a
+                # connected component and leave vertices unreachable.
+                mask = rng.random(n) < 0.6
+                mask[centers] = True
+            max_sweeps = int(rng.choice([1, 3, 100]))
+            tolerance = float(rng.choice([1e-12, 0.0, 1e-3, 0.25, np.inf]))
+            got = percolation_bonds(g, centers, mask, max_sweeps, tolerance)
+            want = percolation_bonds_reference(
+                g, centers, mask, max_sweeps, tolerance
+            )
+            assert _bitwise_equal(got, want), (case, n, k, max_sweeps)
+
+    def test_stop_rule_at_exact_tolerance(self):
+        """A sweep whose largest change equals ``tolerance`` stops the
+        flood in both kernels (``<=``, not ``<``)."""
+        rng = np.random.default_rng(7)
+        hits = 0
+        for _ in range(300):
+            g = _fuzz_graph(rng)
+            n = g.num_vertices
+            centers = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+            # tolerance -1 never stops early, so these are exact sweeps.
+            before = percolation_bonds_reference(g, centers, None, 2, -1.0)
+            after = percolation_bonds_reference(g, centers, None, 3, -1.0)
+            if not np.array_equal(before > 0, after > 0):
+                continue  # an arrival in sweep 3: the change is not used
+            tolerance = float((after - before).max())
+            got = percolation_bonds(g, centers, tolerance=tolerance)
+            want = percolation_bonds_reference(g, centers, tolerance=tolerance)
+            assert _bitwise_equal(got, want)
+            below = np.nextafter(tolerance, -np.inf)
+            hits += not _bitwise_equal(
+                want, percolation_bonds_reference(g, centers, tolerance=below)
+            )
+        assert hits  # the boundary decided the result in some floods
+
+    @pytest.mark.parametrize("centers, mask", [
+        (np.array([], dtype=np.int64), None),
+        (np.array([1, 1]), None),
+        (np.array([2, 4, 2]), None),
+        (np.array([1]), np.array([True, False, True, True, True])),
+        (np.array([0, 3]), np.array([True, True, True, False, True])),
+    ])
+    def test_same_errors_as_reference(self, centers, mask):
+        g = path_graph(5)
+        with pytest.raises(ConfigurationError) as got:
+            percolation_bonds(g, centers, mask=mask)
+        with pytest.raises(ConfigurationError) as want:
+            percolation_bonds_reference(g, centers, mask=mask)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("instance, k", [("atc-core", 32), ("grid-16", 8)])
+    def test_registered_instances_are_bit_identical(self, instance, k):
+        from repro.workloads import build_instance
+
+        g = build_instance(instance)
+        centers = choose_spread_centers(g, k, seed=3)
+        for cs in (centers[:1], centers[:2], centers):
+            assert _bitwise_equal(
+                percolation_bonds(g, cs),
+                percolation_bonds_reference(g, cs),
+            )
+        # Masked floods: the atoms of the whole-graph flood, cut in two
+        # from their first two vertices as fission does.
+        colors = percolation_partition(g, centers).assignment
+        for part in range(4):
+            mask = colors == part
+            atom = np.flatnonzero(mask)
+            for cs in (atom[:1], atom[:2]):
+                assert _bitwise_equal(
+                    percolation_bonds(g, cs, mask=mask),
+                    percolation_bonds_reference(g, cs, mask=mask),
+                )

@@ -21,6 +21,7 @@ EXPECTED_BENCHMARKS = {
     "objective_delta_cut",
     "coarsen_level",
     "ff_step",
+    "percolation_bonds",
     "ff_initialize",
     "graph_ship",
     "graph_attach",
