@@ -9,17 +9,13 @@ grid; every task drives its entrant as a :class:`repro.api.SolveSession`
 * **in-process** (``jobs=1``) — tasks run sequentially in the caller's
   process.  Each task is deep-copied first, mirroring the pickling a
   pool performs, so results are bit-identical between executors.
-* **process pool** (``jobs>1``) — a ``concurrent.futures``
-  ``ProcessPoolExecutor`` whose workers attach the graph *once* via the
-  pool initializer.  With the default ``shm`` transport the initializer
-  ships an O(1) :class:`~repro.graph.GraphHandle` and every worker maps
-  read-only views over one shared-memory copy of the CSR arrays
-  (``graph_transport="pickle"`` restores the legacy per-worker array
-  pickle); tasks then ship only the spec and seed, never the graph.
-  Self-heal rebuilds re-attach the *same* segment, and the owning
-  :class:`~repro.graph.GraphStore` is destroyed in the runner's
-  ``finally`` — normal exit, deadline cancel and worker crashes all
-  unlink the segment exactly once.
+* **process pool** (``jobs>1``) — a :class:`~repro.graph.pool.GraphPool`:
+  one shared-memory copy of the CSR arrays that every worker attaches
+  *once*, through an O(1) :class:`~repro.graph.GraphHandle` shipped to
+  the executor initializer; tasks then ship only the spec and seed,
+  never the graph.  Self-heal rebuilds re-attach the *same* segment, and
+  the runner closes the pool in its ``finally`` — normal exit, deadline
+  cancel and worker crashes all unlink the segment exactly once.
 
 Determinism: task ``(s, i)`` is seeded with
 ``SeedSequence([base, s, i])``, a pure function of the runner's base
@@ -97,12 +93,10 @@ from repro.engine.problem import PartitionProblem
 from repro.engine.retry import RetryPolicy
 from repro.engine.spec import SolverSpec
 from repro.graph.graph import Graph
-from repro.graph.store import GraphHandle, GraphStore, pickled_graph_bytes
+from repro.graph.pool import GraphPool, worker_beats, worker_graph
+from repro.graph.store import pickled_graph_bytes
 
 __all__ = ["PortfolioRunner", "RunTask", "execute_task", "validate_assignment"]
-
-#: Valid ``PortfolioRunner.graph_transport`` settings.
-GRAPH_TRANSPORTS = ("auto", "shm", "pickle")
 
 
 @dataclass
@@ -278,38 +272,19 @@ def execute_task(
         return record
 
 
-# ---------------------------------------------------------------------------
-# Process-pool plumbing.  The graph crosses the process boundary once per
-# worker through the initializer — as an O(1) GraphHandle on the shm
-# transport (the worker attaches read-only views over the shared segment)
-# or as a trusted-unpickled Graph on the legacy pickle transport — and is
-# cached in a module global; tasks then pickle small.  The heartbeat queue
-# (a Manager proxy) carries start/beat/end liveness records back to the
-# runner for straggler reaping and casualty attribution.
-# ---------------------------------------------------------------------------
-_POOL_GRAPH: Graph | None = None
-_POOL_BEATS = None
-
-
-def _worker_init(graph_ref: GraphHandle | Graph, beats=None) -> None:
-    global _POOL_GRAPH, _POOL_BEATS
-    if isinstance(graph_ref, GraphHandle):
-        _POOL_GRAPH = Graph.from_handle(graph_ref)
-    else:
-        _POOL_GRAPH = graph_ref
-    _POOL_BEATS = beats
-
-
+# Pool task.  The worker reads the graph its GraphPool attached at start-up;
+# the heartbeat queue (a Manager proxy) carries start/beat/end liveness
+# records back to the runner for straggler reaping and casualty attribution.
 def _worker_run(task: RunTask) -> RunRecord:
-    assert _POOL_GRAPH is not None, "pool worker used before initialisation"
+    beats = worker_beats()
     key = (task.spec_index, task.seed_index)
     pid = os.getpid()
     on_heartbeat = None
-    if _POOL_BEATS is not None:
+    if beats is not None:
 
         def beat(kind: str = "beat") -> None:
             try:
-                _POOL_BEATS.put((kind, key, task.attempt, pid))
+                beats.put((kind, key, task.attempt, pid))
             except Exception:  # noqa: BLE001
                 # The manager is gone (runner tearing down) — liveness
                 # reporting must never fail the task itself.
@@ -319,7 +294,7 @@ def _worker_run(task: RunTask) -> RunRecord:
         beat("start")
     try:
         record = execute_task(
-            task, _POOL_GRAPH, in_pool=True, on_heartbeat=on_heartbeat
+            task, worker_graph(), in_pool=True, on_heartbeat=on_heartbeat
         )
     finally:
         # An injected crash (os._exit) skips this on purpose: no "end"
@@ -380,12 +355,6 @@ class PortfolioRunner:
     faults:
         Optional :class:`~repro.engine.faults.FaultInjector` for chaos
         testing; defaults to whatever ``REPRO_FAULTS`` specifies.
-    graph_transport:
-        How the graph reaches pool workers: ``"shm"`` (one shared-memory
-        copy, O(1) handle per worker), ``"pickle"`` (legacy per-worker
-        CSR array pickle) or ``"auto"`` (shm when ``jobs > 1``).  The
-        in-process executor always reports ``"pickle"`` — nothing
-        crosses a process boundary there.
     islands:
         Islands per solve for the iterative families (annealing, ant
         colony, fusion-fission); methods without island support run
@@ -404,7 +373,6 @@ class PortfolioRunner:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     task_timeout: float | None = None
     faults: FaultInjector | None = None
-    graph_transport: str = "auto"
     islands: int = 1
     migration_interval: int = 10
 
@@ -433,11 +401,6 @@ class PortfolioRunner:
             )
         if self.faults is None:
             self.faults = FaultInjector.from_env()
-        if self.graph_transport not in GRAPH_TRANSPORTS:
-            raise ConfigurationError(
-                f"graph_transport must be one of {GRAPH_TRANSPORTS}, "
-                f"got {self.graph_transport!r}"
-            )
         if self.islands < 1:
             raise ConfigurationError(
                 f"islands must be >= 1, got {self.islands}"
@@ -614,24 +577,11 @@ class PortfolioRunner:
             attempt += 1
 
     # -- pool executor ------------------------------------------------------
-    def resolved_transport(self) -> str:
-        """The concrete transport ``"auto"`` resolves to for this runner."""
-        if self.graph_transport == "auto":
-            return "shm" if self.jobs > 1 else "pickle"
-        return self.graph_transport
-
-    def _new_pool(
-        self, graph_ref: GraphHandle | Graph, beats, max_workers: int
-    ) -> concurrent.futures.ProcessPoolExecutor:
-        """Build the executor; ``graph_ref`` is the transport-specific
-        graph reference (handle or graph) every worker initialises from.
-        Heal rebuilds pass the *same* ref, so shm workers re-attach the
-        segment the dead pool was using."""
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_worker_init,
-            initargs=(graph_ref, beats),
-        )
+    def _new_pool(self, pool: GraphPool) -> None:
+        """The runner's one executor (re)build point, timed by
+        ``perfbench`` as ``engine.pool_start``; heal rebuilds keep the
+        pool's handle, so new workers re-attach the same segment."""
+        pool.start()
 
     @staticmethod
     def _drain_beats(beats, states: dict) -> None:
@@ -660,16 +610,6 @@ class PortfolioRunner:
     ) -> list[RunRecord]:
         import multiprocessing
 
-        graph = problem.graph
-        transport = self.resolved_transport()
-        store: GraphStore | None = None
-        if transport == "shm":
-            store = GraphStore.create(graph)
-            graph_ref: GraphHandle | Graph = store.handle
-            payload_bytes = store.handle.payload_bytes()
-        else:
-            graph_ref = graph
-            payload_bytes = pickled_graph_bytes(graph)
         records: list[RunRecord] = []
         states = {
             (t.spec_index, t.seed_index): _TaskState(t) for t in tasks
@@ -687,10 +627,11 @@ class PortfolioRunner:
 
         manager = multiprocessing.Manager()
         beats = manager.Queue()
-        pool = self._new_pool(graph_ref, beats, max_workers)
+        pool = GraphPool(problem.graph, max_workers, beats=beats)
+        payload_bytes = pool.handle.payload_bytes()
 
         def emit(record: RunRecord) -> None:
-            record.graph_transport = transport
+            record.graph_transport = "shm"
             record.payload_bytes = payload_bytes
             if on_record is not None:
                 on_record(record)
@@ -732,7 +673,7 @@ class PortfolioRunner:
         def heal(broken_keys: list) -> None:
             """Rebuild the executor after a worker death; charge only the
             task(s) that were actually running."""
-            nonlocal pool, blind_heals
+            nonlocal blind_heals
             self._drain_beats(beats, states)
             for fut in list(futures):
                 broken_keys.append(futures.pop(fut))
@@ -802,12 +743,10 @@ class PortfolioRunner:
                     )
                     state.eligible_at = 0.0
                     waiting.append(key)
-            pool.shutdown(wait=False, cancel_futures=True)
-            # Same graph_ref: replacement shm workers re-attach the very
-            # segment their predecessors were mapped to — no re-copy.
-            pool = self._new_pool(graph_ref, beats, max_workers)
+            self._new_pool(pool)
 
         try:
+            self._new_pool(pool)
             while len(finished) < len(states):
                 now = time.monotonic()
                 # 1. Submit every eligible waiting task (the deadline is
@@ -978,11 +917,6 @@ class PortfolioRunner:
                                 ),
                             )
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+            pool.close()
             manager.shutdown()
-            if store is not None:
-                # After the pool is down nothing references the segment;
-                # this unlinks on every exit path, deadline cancellations
-                # and on_record aborts included.
-                store.destroy()
         return records

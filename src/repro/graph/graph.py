@@ -226,18 +226,6 @@ class Graph:
             (self.indptr, self.indices, self.weights, self.vertex_weights),
         )
 
-    def to_shared(self, name: str | None = None):
-        """Place this graph's CSR arrays in shared memory.
-
-        Returns the owning :class:`~repro.graph.store.GraphStore`; its
-        ``handle`` pickles in O(1) and any process can map the graph
-        back with :meth:`from_handle`.  The caller owns the segment
-        lifecycle (context manager / ``destroy()``).
-        """
-        from repro.graph.store import GraphStore
-
-        return GraphStore.create(self, name=name)
-
     @classmethod
     def from_handle(cls, handle) -> "Graph":
         """Attach a shared-memory graph as read-only views (zero-copy).

@@ -16,16 +16,17 @@ Lifecycle rules (the part that is easy to get wrong):
 
 * **The creator owns the segment.**  ``GraphStore.create`` registers an
   ``atexit`` finaliser and supports ``with GraphStore.create(g) as store``;
-  either path closes *and unlinks* the segment exactly once.  The engine
-  destroys its store in the same ``finally`` that shuts the pool down,
-  so deadline cancellations and crashes unlink too.
+  either path closes *and unlinks* the segment exactly once.
+  :class:`repro.graph.pool.GraphPool` destroys its store right after its
+  executor, on close or from a finalizer when dropped, so deadline
+  cancellations, crashes and dropped paused sessions unlink too.
 * **Attachers never unlink.**  CPython < 3.13 registers every attach
   with the ``resource_tracker`` as if it were an owner, which makes a
   short-lived attaching process "clean up" (unlink + leak warning) a
   segment others still use.  Creator and attachers therefore both
   untrack their segment immediately (see ``_untrack``); the lifecycle
   above replaces the tracker backstop, and the only leak window left is
-  a creator killed with SIGKILL before its ``finally`` runs.  Tests
+  a creator killed with SIGKILL before its teardown runs.  Tests
   gate on ``PYTHONWARNINGS=error::UserWarning`` to keep it that way.
 * **Attachments are cached per process.**  Pool workers (and self-heal
   replacement workers) attach a given segment once; repeated
@@ -106,7 +107,8 @@ class GraphHandle:
 
 
 def pickled_graph_bytes(graph) -> int:
-    """Per-worker ship size of the legacy pickle transport.
+    """Bytes pickling ``graph`` would ship: the ``payload_bytes`` the
+    in-process executor stamps on its records.
 
     The array payload dominates the pickle stream (headers are tens of
     bytes); summing ``nbytes`` avoids serialising a potentially huge
@@ -131,8 +133,8 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
     included — as if it owned the segment, so an exiting attacher (or a
     fork-shared tracker seeing two registrations resolve to one entry)
     unlinks memory other processes still use and emits leak warnings.
-    ``GraphStore`` owns the lifecycle itself (context manager, engine
-    ``finally``, ``atexit``), so segments are untracked on creation and
+    ``GraphStore`` owns the lifecycle itself (context manager, pool
+    teardown, ``atexit``), so segments are untracked on creation and
     attachment alike; :meth:`GraphStore.unlink` re-registers just before
     unlinking because ``SharedMemory.unlink`` unconditionally
     unregisters (an unbalanced unregister crashes the tracker loop with

@@ -1,6 +1,7 @@
 """Tests for the shared-memory graph plane: O(1) handles, zero-copy
 attach, deterministic segment lifecycle (no leaks after normal exit,
-deadline cancellation, or pool self-healing) and the transport fields
+deadline cancellation, pool self-healing, or a dropped paused
+parallel-island session) and the transport fields
 stamped on portfolio records.
 
 The leak tests run real subprocesses with ``-W error::UserWarning`` so
@@ -224,6 +225,35 @@ class TestEngineLifecycle:
         assert _strays() == before
 
 
+class TestIslandPoolLifecycle:
+    def test_dropped_paused_parallel_sessions_leave_no_segment(self):
+        """A parallel-island session paused on a budget and then dropped
+        must release its pool segment on collection, not at exit."""
+        before = _strays()
+        proc = _run_py(
+            "import gc, os\n"
+            "from pathlib import Path\n"
+            "from repro.api import SolveRequest, get_solver\n"
+            "from repro.graph import weighted_caveman_graph\n"
+            "from repro.graph.store import SEGMENT_PREFIX\n"
+            "graph = weighted_caveman_graph(4, 6)\n"
+            "for seed in range(4):\n"
+            "    session = get_solver('fusion-fission', 4).start(\n"
+            "        SolveRequest(graph=graph, k=4, seed=seed, islands=2,\n"
+            "                     island_jobs=2))\n"
+            "    session.run(max_iterations=2)\n"
+            "    assert session.status == 'running', session.status\n"
+            "    del session\n"
+            "    gc.collect()\n"
+            "mine = f'{SEGMENT_PREFIX}{os.getpid()}-*'\n"
+            "strays = sorted(p.name for p in Path('/dev/shm').glob(mine))\n"
+            "assert not strays, strays\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert _strays() == before
+
+
 class TestTransportRecords:
     def test_pool_records_stamp_shm_transport(self):
         problem = PartitionProblem(weighted_caveman_graph(4, 6), k=4)
@@ -247,16 +277,6 @@ class TestTransportRecords:
             assert rec.graph_transport == "pickle"
             assert rec.payload_bytes == expected
 
-    def test_forced_pickle_transport_on_pool(self):
-        problem = PartitionProblem(weighted_caveman_graph(4, 6), k=4)
-        runner = PortfolioRunner(
-            [SolverSpec("multilevel")], num_seeds=2, jobs=2, seed=11,
-            graph_transport="pickle",
-        )
-        result = runner.run(problem)
-        for rec in result.records:
-            assert rec.graph_transport == "pickle"
-
     def test_transport_does_not_change_results(self):
         problem = PartitionProblem(weighted_caveman_graph(4, 6), k=4)
         base = PortfolioRunner(
@@ -271,10 +291,3 @@ class TestTransportRecords:
             assert (a.graph_transport, b.graph_transport) == ("pickle", "shm")
             assert a.objective == b.objective
             assert np.array_equal(a.assignment, b.assignment)
-
-    def test_invalid_transport_rejected(self):
-        from repro.common.exceptions import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            PortfolioRunner(
-                [SolverSpec("multilevel")], graph_transport="carrier-pigeon"
-            )

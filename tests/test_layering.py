@@ -93,6 +93,42 @@ def test_removed_entry_points_stay_removed():
     assert not hits, "removed names found:\n" + "\n".join(hits)
 
 
+def _pool_plumbing_calls(path: Path) -> list[str]:
+    """``ProcessPoolExecutor(...)`` and ``GraphStore.create(...)`` calls."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "attr", None) or getattr(func, "id", None)
+        if name == "ProcessPoolExecutor":
+            hits.append(f"{node.lineno}: ProcessPoolExecutor")
+        elif (
+            name == "create"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "GraphStore"
+        ):
+            hits.append(f"{node.lineno}: GraphStore.create")
+    return hits
+
+
+def test_process_pools_live_in_graph_pool():
+    """Only ``repro.graph`` (home of ``GraphPool``) and the bench harness
+    may build process pools or publish shared-memory graphs."""
+    offenders = []
+    for path in _modules():
+        rel = path.relative_to(PACKAGE).as_posix()
+        if rel.startswith(("graph/", "bench/")):
+            continue
+        offenders.extend(
+            f"{path.relative_to(SRC)}:{hit}"
+            for hit in _pool_plumbing_calls(path)
+        )
+    assert not offenders, "pool plumbing outside repro.graph:\n" + "\n".join(
+        offenders
+    )
+
+
 def test_no_partition_subcommand():
     assert 'add_parser("partition"' not in (PACKAGE / "cli.py").read_text()
 
