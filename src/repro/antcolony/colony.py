@@ -27,6 +27,7 @@ machinery.  :func:`ant_colony_search` drives a run to completion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -189,37 +190,9 @@ class AntColonyRun:
         if self.deadline.expired():
             return False
         graph, k, rng, field = self.graph, self.k, self.rng, self.field
-        w_edges = graph.weights  # per-arc weights (CSR order)
         eu, ev = field.edge_u, field.edge_v
         # --- Step 1: motion ----------------------------------------------
-        paths: list[tuple[int, list[int]]] = []  # (colony, edge ids)
-        for colony in range(k):
-            territory = np.flatnonzero(self.current_assignment == colony)
-            if territory.size == 0:
-                territory = np.array([int(rng.integers(graph.num_vertices))])
-            starts = territory[rng.integers(territory.size, size=self.num_ants)]
-            for s in starts:
-                v = int(s)
-                walked: list[int] = []
-                for _step in range(self.walk_length):
-                    lo, hi = graph.indptr[v], graph.indptr[v + 1]
-                    if hi == lo:
-                        break
-                    edge_ids = field.arc_edge[lo:hi]
-                    tau = field.values[colony, edge_ids]
-                    heur = w_edges[lo:hi]
-                    attract = (
-                        np.power(tau + 1e-12, self.pheromone_power)
-                        * np.power(heur + 1e-12, self.heuristic_power)
-                    )
-                    attract = attract + self.exploration_bonus * (tau <= 0.0)
-                    total = float(attract.sum())
-                    if total <= 0.0:
-                        break
-                    choice = int(rng.choice(hi - lo, p=attract / total))
-                    walked.append(int(edge_ids[choice]))
-                    v = int(graph.indices[lo + choice])
-                paths.append((colony, walked))
+        paths = self._motion()
         # --- Step 2: pheromone update --------------------------------------
         for colony, walked in paths:
             if walked:
@@ -252,6 +225,80 @@ class AntColonyRun:
         field.evaporate(self.evaporation)
         self.it += 1
         return self.it < self.iterations
+
+    def _motion(self) -> list[tuple[int, list[int]]]:
+        """Every ant walk of one iteration, as ``(colony, edge ids)``.
+
+        Pheromone is frozen during motion (all deposits come after every
+        walk), so a colony's step distribution at a vertex is built the
+        first time one of its ants stands there and reused for the rest
+        of this motion.  The memo is per colony and per call: colonies
+        read different trails, and the trails change before the next
+        motion.  Walks and rng stream are those of
+        :func:`repro.antcolony.reference.motion_reference`.
+        """
+        graph, rng = self.graph, self.rng
+        paths: list[tuple[int, list[int]]] = []
+        for colony in range(self.k):
+            territory = np.flatnonzero(self.current_assignment == colony)
+            if territory.size == 0:
+                territory = np.array([int(rng.integers(graph.num_vertices))])
+            starts = territory[
+                rng.integers(territory.size, size=self.num_ants)
+            ]
+            hops: dict[int, tuple | None] = {}
+            for v in starts.tolist():
+                walked: list[int] = []
+                for _step in range(self.walk_length):
+                    if v not in hops:
+                        hops[v] = self._step_distribution(colony, v)
+                    hop = hops[v]
+                    if hop is None:
+                        break
+                    cdf, p, edges, targets = hop
+                    if cdf is None:
+                        choice = int(rng.choice(len(edges), p=p))
+                    else:
+                        u = rng.random()
+                        choice = int(cdf.searchsorted(u, side="right"))
+                    walked.append(edges[choice])
+                    v = targets[choice]
+                paths.append((colony, walked))
+        return paths
+
+    def _step_distribution(self, colony: int, v: int) -> tuple | None:
+        """``(cdf, p, edge ids, neighbours)`` of an ant of ``colony`` at
+        ``v``, or None where a walk ends (no edge, or no attraction).
+
+        ``p`` is the ``p=`` the per-hop loop handed ``rng.choice``, and
+        ``cdf`` repeats ``Generator.choice``'s own arithmetic on it
+        (``cumsum``, then ``/= cdf[-1]``), so ``cdf.searchsorted(
+        rng.random(), side="right")`` draws the same index from the same
+        single double.  ``cdf`` is None when ``p`` would fail ``choice``'s
+        checks (a non-finite total or a negative entry); the caller then
+        calls ``rng.choice`` itself, which raises as it always did.
+        """
+        graph, field = self.graph, self.field
+        lo, hi = graph.indptr[v], graph.indptr[v + 1]
+        if hi == lo:
+            return None
+        edge_ids = field.arc_edge[lo:hi]
+        tau = field.values[colony, edge_ids]
+        heur = graph.weights[lo:hi]
+        attract = (
+            np.power(tau + 1e-12, self.pheromone_power)
+            * np.power(heur + 1e-12, self.heuristic_power)
+        )
+        attract = attract + self.exploration_bonus * (tau <= 0.0)
+        total = float(attract.sum())
+        if total <= 0.0:
+            return None
+        p = attract / total
+        cdf = None
+        if math.isfinite(total) and not (attract < 0.0).any():
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+        return cdf, p, edge_ids.tolist(), graph.indices[lo:hi].tolist()
 
     def adopt_incumbent(self, partition: Partition, energy: float) -> None:
         """Adopt a migrated incumbent (island model).

@@ -30,6 +30,16 @@ Benchmarks
   ``reduceat`` sweep vs the frozen ``maximum.at`` scatter
   (:mod:`repro.percolation.reference`).  Verification is bitwise
   (int64 views), so the row fails on any difference, ``-0.0`` included.
+* ``percolation_start`` — the SA/ACO start on ``atc-core`` at k = 32:
+  spread centres plus the k-centre flood built from the centre choice's
+  own single-centre floods, vs choosing the centres and then flooding
+  from them again (``percolation_partition(choose_spread_centers(...))``).
+  Verification is bitwise against the frozen ``maximum.at`` flood from
+  the same centres, plus equal centres and partition.
+* ``aco_motion``      — three ant-colony iterations on ``atc-core`` at
+  k = 32 with per-step memoized step distributions vs the frozen
+  per-hop ``rng.choice`` walk (:mod:`repro.antcolony.reference`).
+  Verification: identical walks and rng state after every iteration.
 * ``ff_initialize``   — Algorithm-2 molecule initialisation with the
   vectorized matched-prelude cascade vs the exact O(n²)-ish law loop
   (the hot spot PR 4 left behind).  Verification checks both cascades
@@ -385,6 +395,92 @@ def _bench_percolation_bonds(k: int, reps) -> PerfRecord:
     )
 
 
+def _bench_percolation_start(reps) -> PerfRecord:
+    from repro.percolation.percolation import (
+        PercolationPartitioner,
+        _spread_flood,
+        choose_spread_centers,
+        percolation_partition,
+    )
+    from repro.percolation.reference import percolation_bonds_reference
+    from repro.workloads import build_instance
+
+    graph = build_instance("atc-core")
+    k = 32
+
+    def optimized():
+        return PercolationPartitioner(k=k).partition(graph, seed=0)
+
+    def reference():
+        centers = choose_spread_centers(graph, k, seed=0)
+        return percolation_partition(graph, centers)
+
+    centers, bonds = _spread_flood(graph, k, seed=0)
+    want = percolation_bonds_reference(graph, centers)
+    matches = bool(
+        np.array_equal(centers, choose_spread_centers(graph, k, seed=0))
+        and np.array_equal(bonds.view(np.int64), want.view(np.int64))
+        and np.array_equal(optimized().assignment, reference().assignment)
+    )
+    sec = _best_of(optimized, reps)
+    ref = _best_of(reference, reps)
+    return PerfRecord(
+        name="percolation_start",
+        n=graph.num_vertices, m=graph.num_edges, k=k, reps=reps,
+        seconds=sec, ops_per_second=1.0 / sec,
+        unit="starts/s",
+        reference_seconds=ref, speedup=ref / sec,
+        matches_reference=matches,
+        notes="atc-core: k-centre flood from the centre choice's single "
+              "floods vs flooding again; bitwise check",
+    )
+
+
+def _bench_aco_motion(reps) -> PerfRecord:
+    from repro.antcolony.colony import AntColonyRun
+    from repro.antcolony.reference import AntColonyRunReference
+    from repro.percolation.percolation import PercolationPartitioner
+    from repro.workloads import build_instance
+
+    graph = build_instance("atc-core")
+    k, iterations = 32, 3
+    start = PercolationPartitioner(k=k).partition(graph, seed=0)
+
+    def run(cls, trace=None):
+        colony = cls(graph, k, iterations=iterations, seed=1,
+                     initial_partition=start)
+        if trace is not None:
+            motion = colony._motion
+
+            def recorded():
+                trace.append(motion())
+                return trace[-1]
+
+            colony._motion = recorded
+        while True:
+            more = colony.step()
+            if trace is not None:
+                trace.append(colony.rng.bit_generator.state)
+            if not more:
+                return
+
+    got, want = [], []
+    run(AntColonyRun, got)
+    run(AntColonyRunReference, want)
+    sec = _best_of(lambda: run(AntColonyRun), reps)
+    ref = _best_of(lambda: run(AntColonyRunReference), reps)
+    return PerfRecord(
+        name="aco_motion",
+        n=graph.num_vertices, m=graph.num_edges, k=k, reps=reps,
+        seconds=sec, ops_per_second=iterations / sec,
+        unit="iterations/s",
+        reference_seconds=ref, speedup=ref / sec,
+        matches_reference=bool(got == want),
+        notes=f"atc-core: {iterations} colony iterations, memoized vs "
+              "per-hop motion; walks and rng state checked",
+    )
+
+
 def _bench_ff_initialize(graph: Graph, k: int, reps) -> PerfRecord:
     from repro.fusionfission.core import initialize_molecule
     from repro.fusionfission.energy import ScaledEnergy
@@ -574,6 +670,8 @@ def run_perf_suite(
         _bench_coarsen_level(graph, reps),
         _bench_ff_step(n, k, reps),
         _bench_percolation_bonds(k, reps),
+        _bench_percolation_start(reps),
+        _bench_aco_motion(reps),
         _bench_ff_initialize(graph, k, reps),
         *_bench_graph_transport(ship_n, seed, reps),
         *_bench_island_scaling(n, reps),

@@ -26,7 +26,7 @@ from repro.fusionfission.temperature import TemperatureSchedule
 from repro.graph.graph import Graph
 from repro.partition.partition import Partition
 from repro.api.request import SolveRequest
-from repro.api.session import SolveSession
+from repro.api.session import OneShotSession, SolveSession
 
 import numpy as np
 
@@ -154,6 +154,18 @@ class FusionFissionSession(SolveSession):
             self.phase = "search"
 
 
+class _SinglePartSession(OneShotSession):
+    """The ``k = 1`` session: one iteration that returns the one-part
+    partition (it draws nothing from the rng)."""
+
+    def _advance(self) -> bool:
+        n = self.request.graph.num_vertices
+        self._result = Partition(
+            self.request.graph, np.zeros(n, dtype=np.int64)
+        )
+        return False
+
+
 @dataclass
 class FusionFissionPartitioner:
     """Table 1's "Fusion Fission" row — the paper's contribution.
@@ -239,8 +251,15 @@ class FusionFissionPartitioner:
 
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> FusionFissionSession:
-        """Open a run session (the :class:`repro.api.Solver` protocol)."""
+    ) -> SolveSession:
+        """Open a run session (the :class:`repro.api.Solver` protocol).
+
+        At ``k = 1`` the session returns the one-part partition, as every
+        family does: Algorithm 1 needs at least two atoms to fuse and
+        split, so there is no search to run.
+        """
+        if request.k == 1:
+            return _SinglePartSession(self, request, checkpoint)
         return FusionFissionSession(self, request, checkpoint)
 
     def search(

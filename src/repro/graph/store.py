@@ -23,11 +23,12 @@ Lifecycle rules (the part that is easy to get wrong):
 * **Attachers never unlink.**  CPython < 3.13 registers every attach
   with the ``resource_tracker`` as if it were an owner, which makes a
   short-lived attaching process "clean up" (unlink + leak warning) a
-  segment others still use.  Creator and attachers therefore both
-  untrack their segment immediately (see ``_untrack``); the lifecycle
-  above replaces the tracker backstop, and the only leak window left is
-  a creator killed with SIGKILL before its teardown runs.  Tests
-  gate on ``PYTHONWARNINGS=error::UserWarning`` to keep it that way.
+  segment others still use.  The creator therefore untracks its segment
+  immediately (see ``_untrack``), and attachers never register at all
+  (see ``_attach_untracked``); the lifecycle above replaces the tracker
+  backstop, and the only leak window left is a creator killed with
+  SIGKILL before its teardown runs.  Tests gate on
+  ``PYTHONWARNINGS=error::UserWarning`` to keep it that way.
 * **Attachments are cached per process.**  Pool workers (and self-heal
   replacement workers) attach a given segment once; repeated
   ``Graph.from_handle`` calls with the same handle return the same
@@ -38,9 +39,11 @@ Lifecycle rules (the part that is easy to get wrong):
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import pickle
 import secrets
+import sys
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 
@@ -134,8 +137,8 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
     fork-shared tracker seeing two registrations resolve to one entry)
     unlinks memory other processes still use and emits leak warnings.
     ``GraphStore`` owns the lifecycle itself (context manager, pool
-    teardown, ``atexit``), so segments are untracked on creation and
-    attachment alike; :meth:`GraphStore.unlink` re-registers just before
+    teardown, ``atexit``), so the creator untracks its segment (attachers
+    never track theirs); :meth:`GraphStore.unlink` re-registers just before
     unlinking because ``SharedMemory.unlink`` unconditionally
     unregisters (an unbalanced unregister crashes the tracker loop with
     a ``KeyError``).
@@ -144,6 +147,40 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
         resource_tracker.unregister(shm._name, "shared_memory")
     except Exception:  # noqa: BLE001 - tracker variants differ; best effort
         pass
+
+
+def _attach_untracked(name: str) -> shared_memory.SharedMemory:
+    """Map the existing segment ``name`` without registering it with the
+    ``resource_tracker``.
+
+    Registering and then untracking (as :meth:`GraphStore.create` does)
+    is not safe for attachers: the tracker keeps a set, so two
+    processes sharing one tracker that attach the same segment at once
+    send register, register, unregister, unregister, and the second
+    unregister makes the tracker print a ``KeyError`` traceback.
+    CPython 3.13 has ``track=False`` for this.  Before it, the POSIX
+    attach is done here the way ``SharedMemory.__init__`` does it, minus
+    the ``register`` call, so no global is patched that another thread
+    could see.  (Windows never registers segments.)
+    """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    if os.name != "posix":
+        return shared_memory.SharedMemory(name=name)
+    import _posixshmem
+
+    shm = shared_memory.SharedMemory.__new__(shared_memory.SharedMemory)
+    shm._name = "/" + name
+    shm._fd = _posixshmem.shm_open(shm._name, os.O_RDWR, mode=0o600)
+    try:
+        size = os.fstat(shm._fd).st_size
+        shm._mmap = mmap.mmap(shm._fd, size)
+    except OSError:
+        shm.close()
+        raise
+    shm._size = size
+    shm._buf = memoryview(shm._mmap)
+    return shm
 
 
 class GraphStore:
@@ -206,7 +243,7 @@ class GraphStore:
     def attach(cls, handle: GraphHandle) -> "GraphStore":
         """Attach to an existing segment (cached per process).
 
-        The attachment is *not* an owner: it unregisters itself from the
+        The attachment is *not* an owner: it never registers with the
         ``resource_tracker`` (CPython < 3.13 would otherwise unlink the
         segment — and warn about "leaked" memory — when this process
         exits) and stays mapped for the life of the process.
@@ -217,13 +254,12 @@ class GraphStore:
         ):
             return cached
         try:
-            shm = shared_memory.SharedMemory(name=handle.segment)
+            shm = _attach_untracked(handle.segment)
         except FileNotFoundError as exc:
             raise GraphError(
                 f"shared graph segment {handle.segment!r} does not exist "
                 "(was its owning GraphStore destroyed?)"
             ) from exc
-        _untrack(shm)
         store = cls(shm, handle, owner=False)
         _ATTACHMENTS[handle.segment] = store
         return store

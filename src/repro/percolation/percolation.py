@@ -41,6 +41,94 @@ __all__ = [
 ]
 
 
+class _Flood:
+    """The arc layout of one (masked) flood, built once and swept by
+    every flood on the same vertex set.
+
+    The subgraph induced by the mask is flooded in local ids 0..nl-1,
+    plus a sentinel row ``nl`` that stays at -inf.  The arcs are regrouped
+    by destination, so each sweep's push of (bond[src] + w) / 2 along
+    every arc becomes one gather and one per-row max (``reduceat``).  Max
+    is exact, so the order within a row does not matter, and halving is
+    exact and monotone, so it is applied after the max, per row.  Rows
+    without an incoming arc get one from the sentinel, so no segment is
+    empty.  Raw bond blocks are ``(nl + 1, columns)`` with -inf where the
+    liquid has not arrived.
+    """
+
+    def __init__(self, graph: Graph, allowed: np.ndarray) -> None:
+        self.n = graph.num_vertices
+        w_max = float(graph.weights.max()) if graph.weights.size else 1.0
+        self.anchor = 2.0 * max(w_max, 1e-12)
+        self.local = np.flatnonzero(allowed)
+        nl = self.local.shape[0]
+        self.local_id = np.cumsum(allowed) - 1
+        src, nbrs, wts = graph.neighbors_many(self.local)
+        inside = allowed[nbrs]
+        dst = self.local_id[nbrs[inside]]
+        counts = np.bincount(dst, minlength=nl + 1)
+        pad = np.flatnonzero(counts == 0)
+        order = np.argsort(np.concatenate([dst, pad]), kind="stable")
+        self.src = np.concatenate(
+            [src[inside], np.full(pad.shape[0], nl)]
+        )[order]
+        self.wt = np.concatenate([wts[inside], np.zeros(pad.shape[0])])[order]
+        self.starts = np.zeros(nl + 1, dtype=np.int64)
+        np.cumsum(np.maximum(counts, 1)[:-1], out=self.starts[1:])
+
+    def start(self, centers: np.ndarray) -> np.ndarray:
+        """Raw bonds before the first sweep: each centre's column holds
+        the anchor at the centre and -inf elsewhere."""
+        k = centers.shape[0]
+        bonds = np.full((self.local.shape[0] + 1, k), -np.inf)
+        bonds[self.local_id[centers], np.arange(k)] = self.anchor
+        return bonds
+
+    def sweep(
+        self, bonds: np.ndarray, max_sweeps: int, tolerance: float
+    ) -> tuple[np.ndarray, int, float]:
+        """Sweep ``bonds`` until the stop rule holds or ``max_sweeps``
+        sweeps have run; return ``(bonds, sweeps run, last change)``.
+
+        Every column floods on its own: a sweep reads and writes only its
+        column, and only the stop rule looks at all of them at once.
+        """
+        # -inf propagates harmlessly through the (b + w)/2 update, so
+        # bonds only ever flow outward from centres.  Centres keep their
+        # anchor: every candidate is at most (anchor + w_max) / 2 <
+        # anchor, and the max never lowers an entry.
+        wt = np.repeat(self.wt[:, None], bonds.shape[1], axis=1)
+        candidate = np.empty_like(wt)
+        change = np.nan
+        sweeps = 0
+        # Since new >= old entrywise, one fmax over (new - old) decides
+        # both halves of the stop rule: a newly reached entry gives +inf
+        # (go on), an entry still at -inf gives nan (ignored), and
+        # otherwise it is the largest change on the entries already
+        # reached.
+        with np.errstate(invalid="ignore"):
+            while sweeps < max_sweeps:
+                np.take(bonds, self.src, axis=0, out=candidate)
+                candidate += wt
+                new_bonds = np.maximum.reduceat(candidate, self.starts, axis=0)
+                new_bonds *= 0.5
+                np.maximum(new_bonds, bonds, out=new_bonds)
+                change = np.fmax.reduce(new_bonds - bonds, axis=None)
+                bonds = new_bonds
+                sweeps += 1
+                if change <= tolerance and change != np.inf:
+                    break
+        return bonds, sweeps, change
+
+    def output(self, bonds: np.ndarray) -> np.ndarray:
+        """``(n, columns)`` bonds in global ids, 0 where unreached or
+        masked."""
+        out = np.zeros((self.n, bonds.shape[1]))
+        flooded = bonds[:-1]
+        out[self.local] = np.where(np.isfinite(flooded), flooded, 0.0)
+        return out
+
+
 def percolation_bonds(
     graph: Graph,
     centers: np.ndarray,
@@ -107,56 +195,9 @@ def percolation_bonds(
     if not allowed[centers].all():
         raise ConfigurationError("percolation centres must satisfy the mask")
 
-    w_max = float(graph.weights.max()) if graph.weights.size else 1.0
-    anchor = 2.0 * max(w_max, 1e-12)
-    # Flood the subgraph induced by the mask in local ids 0..nl-1, plus a
-    # sentinel row ``nl`` that stays at -inf.  The arcs are regrouped by
-    # destination, so each sweep's push of (bond[src] + w) / 2 along every
-    # arc becomes one gather and one per-row max (``reduceat``).  Max is
-    # exact, so the order within a row does not matter, and halving is
-    # exact and monotone, so it is applied after the max, per row.  Rows
-    # without an incoming arc get one from the sentinel, so no segment is
-    # empty.
-    local = np.flatnonzero(allowed)
-    nl = local.shape[0]
-    local_id = np.cumsum(allowed) - 1
-    src, nbrs, wts = graph.neighbors_many(local)
-    inside = allowed[nbrs]
-    dst = local_id[nbrs[inside]]
-    counts = np.bincount(dst, minlength=nl + 1)
-    pad = np.flatnonzero(counts == 0)
-    order = np.argsort(np.concatenate([dst, pad]), kind="stable")
-    src = np.concatenate([src[inside], np.full(pad.shape[0], nl)])[order]
-    wt = np.concatenate([wts[inside], np.zeros(pad.shape[0])])[order]
-    wt = np.repeat(wt[:, None], k, axis=1)
-    starts = np.zeros(nl + 1, dtype=np.int64)
-    np.cumsum(np.maximum(counts, 1)[:-1], out=starts[1:])
-    # -inf marks "liquid not yet arrived"; it propagates harmlessly through
-    # the (b + w)/2 update, so bonds only ever flow outward from centres.
-    # Centres keep their anchor: every candidate is at most
-    # (anchor + w_max) / 2 < anchor, and the max never lowers an entry.
-    bonds = np.full((nl + 1, k), -np.inf)
-    bonds[local_id[centers], np.arange(k)] = anchor
-    candidate = np.empty_like(wt)
-    # Since new >= old entrywise, one fmax over (new - old) decides both
-    # halves of the stop rule: a newly reached entry gives +inf (go on),
-    # an entry still at -inf gives nan (ignored), and otherwise it is the
-    # largest change on the entries already reached.
-    with np.errstate(invalid="ignore"):
-        for _ in range(max_sweeps):
-            np.take(bonds, src, axis=0, out=candidate)
-            candidate += wt
-            new_bonds = np.maximum.reduceat(candidate, starts, axis=0)
-            new_bonds *= 0.5
-            np.maximum(new_bonds, bonds, out=new_bonds)
-            change = np.fmax.reduce(new_bonds - bonds, axis=None)
-            bonds = new_bonds
-            if change <= tolerance and change != np.inf:
-                break
-    out = np.zeros((n, k))
-    flooded = bonds[:nl]
-    out[local] = np.where(np.isfinite(flooded), flooded, 0.0)
-    return out
+    flood = _Flood(graph, allowed)
+    bonds, _, _ = flood.sweep(flood.start(centers), max_sweeps, tolerance)
+    return flood.output(bonds)
 
 
 def _color_from_bonds(
@@ -275,6 +316,78 @@ def choose_spread_centers(
     return np.asarray(centers, dtype=np.int64)
 
 
+def _spread_flood(
+    graph: Graph,
+    k: int,
+    seed: SeedLike = None,
+    max_sweeps: int = 100,
+    tolerance: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spread centres and the whole-graph flood from them, in one pass.
+
+    Returns ``(centers, bonds)``: bit for bit ``choose_spread_centers(
+    graph, k, seed)`` and ``percolation_bonds(graph, centers,
+    max_sweeps=max_sweeps, tolerance=tolerance)`` (the centre choice's
+    single-centre floods use the same sweep cap and tolerance), built
+    from the single-centre floods the centre choice runs anyway.
+
+    Column j of the k-centre flood is the flood from centre j alone
+    (a sweep reads and writes only its own column), swept until the
+    joint stop rule holds.  That rule holds at a sweep only if every
+    column meets it there, and column j first meets it at its own stop
+    sweep S_j, so the joint flood runs at least to M = max S_j.  Each
+    column therefore joins the block at S_j, the block sweeps one sweep
+    at a time up to M, and from M on the joint rule decides as in
+    :func:`percolation_bonds`.  A column joining at M stopped there by
+    itself (change <= tolerance, nothing newly reached) unless M is the
+    sweep cap, so at M the change of the columns swept to M decides.
+    """
+    n = graph.num_vertices
+    if not (1 <= k <= n):
+        raise ConfigurationError(f"k must be in [1, {n}], got {k}")
+    rng = ensure_rng(seed)
+    flood = _Flood(graph, np.ones(n, dtype=bool))
+    singles: list[tuple[np.ndarray, int]] = []  # (raw column, S_j)
+
+    def single_bond(center: int) -> np.ndarray:
+        column, sweeps, _ = flood.sweep(
+            flood.start(np.array([center])), max_sweeps, tolerance
+        )
+        singles.append((column, sweeps))
+        return flood.output(column)[:, 0]
+
+    # Farthest-first exactly as choose_spread_centers.
+    centers = [int(rng.integers(n))]
+    best_bond = single_bond(centers[0])
+    for _ in range(k - 1):
+        best_bond_safe = best_bond.copy()
+        best_bond_safe[np.asarray(centers)] = np.inf
+        nxt = int(np.argmin(best_bond_safe))
+        centers.append(nxt)
+        best_bond = np.maximum(best_bond, single_bond(nxt))
+
+    # Catch-up: add each column at its S_j and sweep the block to M.
+    stops = [sweeps for _, sweeps in singles]
+    last = max(stops)
+    block = np.empty((singles[0][0].shape[0], 0))
+    members: list[int] = []
+    change = -np.inf  # no column swept to M yet: the joint rule holds
+    for sweep in range(min(stops), last + 1):
+        joining = [j for j in range(k) if stops[j] == sweep]
+        if joining:
+            block = np.concatenate(
+                [block] + [singles[j][0] for j in joining], axis=1
+            )
+            members += joining
+        if sweep < last:
+            block, _, change = flood.sweep(block, 1, tolerance)
+    if last < max_sweeps and not (change <= tolerance and change != np.inf):
+        block, _, _ = flood.sweep(block, max_sweeps - last, tolerance)
+    bonds = np.empty_like(block)
+    bonds[:, members] = block
+    return np.asarray(centers, dtype=np.int64), flood.output(bonds)
+
+
 @dataclass
 class PercolationPartitioner:
     """Standalone percolation partitioner (Table 1 row "Percolation").
@@ -303,9 +416,10 @@ class PercolationPartitioner:
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Flood from automatically spread centres."""
-        rng = ensure_rng(seed)
-        centers = choose_spread_centers(graph, self.k, seed=rng)
-        partition = percolation_partition(graph, centers)
+        centers, bonds = _spread_flood(graph, self.k, seed=seed)
+        allowed = np.ones(graph.num_vertices, dtype=bool)
+        colors = _color_from_bonds(bonds, centers, allowed)
+        partition = Partition(graph, colors)
         if self.balance:
             from repro.refine.greedy import greedy_balance
 

@@ -2,6 +2,10 @@
 checkpoint/resume determinism, and the registry error UX."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,6 +306,39 @@ class TestRequestValidation:
     def test_bad_balance_tolerance(self, graph):
         with pytest.raises(ConfigurationError):
             SolveRequest(graph=graph, k=2, balance_tolerance=0.0)
+
+
+#: Runs one default-configured, unbudgeted k = 1 session on caveman-8x6
+#: in a child process (argv: method) and prints status, part count and
+#: objective.
+_K1_SESSION = """
+import sys
+from repro.api import SolveRequest, get_solver
+from repro.workloads import build_instance
+graph = build_instance("caveman-8x6")
+report = get_solver(sys.argv[1], 1).start(
+    SolveRequest(graph=graph, k=1, seed=0)).run()
+print(report.status, report.partition.num_parts, report.objective_value)
+"""
+
+
+class TestDegenerateK1:
+    """Every family returns the one-part partition at k = 1 (objective
+    0, status ``done``) and terminates without a budget."""
+
+    @pytest.mark.parametrize("method", sorted(FAMILY_OPTIONS))
+    def test_one_part_partition(self, method):
+        from repro.api.registry import METHOD_FACTORIES
+
+        assert set(METHOD_FACTORIES) == set(FAMILY_OPTIONS)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _K1_SESSION, method],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["done", "1", "0.0"]
 
 
 class TestRegistryErrorUX:

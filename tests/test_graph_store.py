@@ -170,6 +170,36 @@ class TestLifecycle:
             assert np.array_equal(g2.weights, graph.weights)
         assert _strays() == before
 
+    def test_attach_never_talks_to_the_resource_tracker(
+        self, graph, monkeypatch
+    ):
+        """The tracker keeps a set of names, so register/unregister pairs
+        from two processes attaching one segment at once can interleave
+        into a second unregister of an absent name, which the tracker
+        reports as a ``KeyError`` traceback.  Attaching must send
+        neither."""
+        from multiprocessing import resource_tracker
+
+        from repro.graph.store import _ATTACHMENTS
+
+        with GraphStore.create(graph) as store:
+            calls = []
+            monkeypatch.setattr(
+                resource_tracker, "register",
+                lambda *args: calls.append(("register", args)),
+            )
+            monkeypatch.setattr(
+                resource_tracker, "unregister",
+                lambda *args: calls.append(("unregister", args)),
+            )
+            _ATTACHMENTS.pop(store.handle.segment, None)
+            attached = GraphStore.attach(store.handle)
+            g2 = attached.graph()
+            assert np.array_equal(g2.weights, graph.weights)
+            monkeypatch.undo()
+            assert calls == []
+            _ATTACHMENTS.pop(store.handle.segment, None)
+
 
 def _portfolio_code(extra: str) -> str:
     """Subprocess body running a jobs=2 shm portfolio; `extra` tweaks it."""

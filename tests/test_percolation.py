@@ -271,3 +271,88 @@ class TestReferenceParity:
                     percolation_bonds(g, cs, mask=mask),
                     percolation_bonds_reference(g, cs, mask=mask),
                 )
+
+
+def _spread_flood_reference(graph, k, seed, max_sweeps=100, tolerance=1e-12):
+    """``choose_spread_centers`` and the k-centre flood from its centres,
+    every flood run by the frozen reference with the given cap and
+    tolerance."""
+
+    def flood(centers):
+        return percolation_bonds_reference(
+            graph, np.asarray(centers), max_sweeps=max_sweeps,
+            tolerance=tolerance,
+        )
+
+    rng = np.random.default_rng(seed)
+    centers = [int(rng.integers(graph.num_vertices))]
+    best_bond = flood(centers)[:, 0]
+    for _ in range(k - 1):
+        best_bond_safe = best_bond.copy()
+        best_bond_safe[centers] = np.inf
+        centers.append(int(np.argmin(best_bond_safe)))
+        best_bond = np.maximum(best_bond, flood(centers[-1:])[:, 0])
+    return np.asarray(centers, dtype=np.int64), flood(centers)
+
+
+class TestSpreadFloodParity:
+    """The k-centre start flood built from the centre choice's
+    single-centre floods, against choosing the centres and flooding from
+    them again."""
+
+    def test_seeded_fuzz_is_bit_identical(self):
+        from repro.percolation.percolation import _spread_flood
+
+        rng = np.random.default_rng(20063)
+        for case in range(600):
+            g = _fuzz_graph(rng)
+            n = g.num_vertices
+            k = int(rng.integers(1, n + 1))
+            seed = int(rng.integers(2**32))
+            max_sweeps = int(rng.choice([1, 3, 100]))
+            tolerance = float(rng.choice([0.0, 1e-12, np.inf]))
+            centers, bonds = _spread_flood(g, k, seed, max_sweeps, tolerance)
+            want_centers, want = _spread_flood_reference(
+                g, k, seed, max_sweeps, tolerance
+            )
+            assert np.array_equal(centers, want_centers), case
+            assert _bitwise_equal(bonds, want), (case, n, k, max_sweeps)
+
+    def test_partitioner_matches_choose_then_flood(self):
+        rng = np.random.default_rng(20064)
+        for case in range(200):
+            g = _fuzz_graph(rng)
+            k = int(rng.integers(1, g.num_vertices + 1))
+            seed = int(rng.integers(2**32))
+            got = PercolationPartitioner(k=k).partition(g, seed=seed)
+            want = percolation_partition(
+                g, choose_spread_centers(g, k, seed=seed)
+            )
+            assert np.array_equal(got.assignment, want.assignment), case
+
+    def test_partitioner_draws_like_choose_spread_centers(self):
+        g = weighted_caveman_graph(4, 5)
+        got, want = np.random.default_rng(8), np.random.default_rng(8)
+        PercolationPartitioner(k=4).partition(g, seed=got)
+        choose_spread_centers(g, 4, seed=want)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("instance, k, capped", [
+        ("atc-core", 32, False), ("grid-64", 8, True),
+    ])
+    def test_registered_instances_are_bit_identical(self, instance, k, capped):
+        from repro.percolation.percolation import _spread_flood
+        from repro.workloads import build_instance
+
+        g = build_instance(instance)
+        centers, bonds = _spread_flood(g, k, seed=1)
+        assert np.array_equal(centers, choose_spread_centers(g, k, seed=1))
+        want = percolation_bonds_reference(g, centers)
+        assert _bitwise_equal(bonds, want)
+        # On grid-64 (diameter 126) floods stop at the 100-sweep cap
+        # with vertices still unreached.
+        assert bool((want == 0.0).any()) == capped
+        got = PercolationPartitioner(k=k).partition(g, seed=1)
+        assert np.array_equal(
+            got.assignment, percolation_partition(g, centers).assignment
+        )

@@ -22,6 +22,8 @@ EXPECTED_BENCHMARKS = {
     "coarsen_level",
     "ff_step",
     "percolation_bonds",
+    "percolation_start",
+    "aco_motion",
     "ff_initialize",
     "graph_ship",
     "graph_attach",
